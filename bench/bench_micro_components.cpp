@@ -508,36 +508,29 @@ const CommunitySet& ba_hub_communities() {
 }
 
 // End-to-end Alg. 5 runs, arguments {warm_start, threads}. threads == 0 is
-// the serial schedule (pipeline off, no worker pool); threads > 0 runs the
-// pipelined engine (DESIGN.md §15) with that many workers overlapping each
-// stage's solve/estimate with the next stage's sample generation.
-// Sampling itself stays SERIAL in every row (parallel_sampling = false) so
-// the pipeline's only lever is the overlap — on a multi-core host the
-// wall-clock should approach max(sampling, solve + estimate) instead of
-// their sum, i.e. the solver_seconds counter disappears from the wall
-// time at >= 2 threads. (The committed numbers come from a single-core
-// container — see EXPERIMENTS.md — where overlap cannot shorten wall
-// time; the overlap_seconds counter still reports what WAS hidden.)
+// the fully serial run (serial growth and selection, no worker pool);
+// threads > 0 grows the pool and runs the UBG selection sweeps in parallel
+// on that many workers. Both schedules are the same serial stage loop
+// (DESIGN.md §15); only the layers inside a stage fan out.
 // items_per_second = RIC samples generated end to end.
 void BM_ImcafEndToEnd(benchmark::State& state) {
   const Graph& graph = ba_hub_graph();
   const CommunitySet& communities = ba_hub_communities();
-  const UbgSolver solver;
   const auto threads = static_cast<unsigned>(state.range(1));
+  std::unique_ptr<ThreadPool> workers;
+  if (threads > 0) workers = std::make_unique<ThreadPool>(threads);
+  GreedyOptions greedy;
+  greedy.parallel = threads > 0;
+  greedy.pool = workers.get();
+  const UbgSolver solver(greedy);
   ImcafConfig config;
   config.max_samples = 24000;  // 4 stop stages from Λ ≈ 2.7k
   config.seed = 2024;
-  config.parallel_sampling = false;
+  config.parallel_sampling = threads > 0;
   config.warm_start = state.range(0) != 0;
-  config.pipeline = threads > 0;
-  std::unique_ptr<ThreadPool> workers;
-  if (threads > 0) workers = std::make_unique<ThreadPool>(threads);
   double sampling_seconds = 0.0;
   double solver_seconds = 0.0;
   double estimate_seconds = 0.0;
-  double overlap_seconds = 0.0;
-  double committed = 0.0;
-  double discarded = 0.0;
   double stop_stages = 0.0;
   std::int64_t samples = 0;
   for (auto _ : state) {
@@ -549,9 +542,6 @@ void BM_ImcafEndToEnd(benchmark::State& state) {
     sampling_seconds += result.sampling_seconds;
     solver_seconds += result.solver_seconds;
     estimate_seconds += result.estimate_seconds;
-    overlap_seconds += result.overlap_seconds;
-    committed += static_cast<double>(result.speculative_samples_committed);
-    discarded += static_cast<double>(result.speculative_samples_discarded);
     stop_stages = static_cast<double>(result.stop_stages);
     samples += static_cast<std::int64_t>(result.samples_generated);
   }
@@ -560,12 +550,8 @@ void BM_ImcafEndToEnd(benchmark::State& state) {
   state.counters["sampling_seconds"] = sampling_seconds / iterations;
   state.counters["solver_seconds"] = solver_seconds / iterations;
   state.counters["estimate_seconds"] = estimate_seconds / iterations;
-  state.counters["overlap_seconds"] = overlap_seconds / iterations;
-  state.counters["speculative_samples_committed"] = committed / iterations;
-  state.counters["speculative_samples_discarded"] = discarded / iterations;
   state.counters["stop_stages"] = stop_stages;
   state.counters["warm_start"] = config.warm_start ? 1.0 : 0.0;
-  state.counters["pipeline"] = config.pipeline ? 1.0 : 0.0;
   state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_ImcafEndToEnd)

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "diffusion/lt_model.h"
 #include "estimation/concentration.h"
 #include "estimation/dagum.h"
 #include "sampling/pool_snapshot.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace imc {
 
@@ -54,6 +55,20 @@ RicPool::RepairStats ImcEngine::apply_delta(Graph& graph,
         "ImcEngine::apply_delta: graph/communities must be the exact "
         "objects this engine was constructed over");
   }
+  // The LT sampler rejects in-weight sums past 1, and the repair would only
+  // find out after the graph had changed. Check them on a scratch copy
+  // first, so a rejected batch leaves the engine as it was.
+  if (config_.model == DiffusionModel::kLinearThreshold &&
+      !delta.edges.empty()) {
+    Graph trial = graph;
+    for (const NodeId v : trial.apply_edge_updates(delta.edges)) {
+      if (!lt_in_weights_valid(trial, v)) {
+        throw std::invalid_argument(
+            "ImcEngine::apply_delta: under LT the batch pushes the incoming "
+            "weights of node " + std::to_string(v) + " past 1");
+      }
+    }
+  }
   const DeltaEffects effects = imc::apply_delta(graph, communities, delta);
   const Stopwatch watch;
   const RicPool::RepairStats stats = pool_.invalidate_and_repair(
@@ -65,7 +80,7 @@ RicPool::RepairStats ImcEngine::apply_delta(Graph& graph,
   return stats;
 }
 
-void ImcEngine::timed_grow(std::uint64_t count, ImcafResult& result) {
+double ImcEngine::timed_grow(std::uint64_t count, ImcafResult& result) {
   const Stopwatch grow_watch;
   pool_.grow(count, config_.seed, config_.parallel_sampling,
              context_.workers);
@@ -78,6 +93,7 @@ void ImcEngine::timed_grow(std::uint64_t count, ImcafResult& result) {
                                 ? static_cast<double>(count) / seconds
                                 : 0.0)
                         << " samples/s), |R|=" << pool_.size();
+  return seconds;
 }
 
 ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
@@ -115,78 +131,12 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
   const auto initial = static_cast<std::uint64_t>(
       std::ceil(result.lambda));
   const std::uint64_t first_target = std::min(initial, cap);
-  std::uint64_t stage_samples = 0;
-  double stage_sampling = 0.0;
+  std::uint64_t grown = 0;  // growth reported on the next stage's row
+  double grow_seconds = 0.0;
   if (pool_.size() < first_target) {
-    const double before = result.sampling_seconds;
-    stage_samples = first_target - pool_.size();
-    timed_grow(stage_samples, result);
-    stage_sampling = result.sampling_seconds - before;
+    grown = first_target - pool_.size();
+    grow_seconds = timed_grow(grown, result);
   }
-
-  // Pipelined schedule state (DESIGN.md §15). While this stage's solve and
-  // estimate run, the NEXT doubling batch generates in the background into
-  // `staging` — a sampler-owned buffer that never touches the live pool —
-  // and the stage boundary either commits it (bit-identical to the grow()
-  // it replaces: same substreams, same stitched order, one watermark bump)
-  // or discards it when the stop condition won the race. Declaration order
-  // matters: `spec_job` must die before the staging locals its body writes,
-  // and its destructor cancel+joins, so an exception unwinding out of the
-  // solver or the Estimate can never leave the job running over freed
-  // state.
-  PoolStagingArena staging;
-  double staged_seconds = 0.0;  // generation wall time inside the job
-  BackgroundJob spec_job;
-  ThreadPool* const spec_workers =
-      context_.workers != nullptr ? context_.workers : &default_pool();
-
-  // Speculation policy: the next target is min(cap, |R|·2) — computable
-  // before the solve because the pool is immutable until the boundary —
-  // so a committed batch always matches the grow() the serial schedule
-  // would have issued. No launch when the pool is already at cap (the next
-  // stage, if any, grows nothing) or the run is winding down.
-  const auto launch_speculation = [&]() {
-    if (!config_.pipeline || spec_job.valid()) return;
-    if (pool_.size() >= cap || context_.stop_requested()) return;
-    const std::uint64_t count = std::min(cap, pool_.size() * 2) - pool_.size();
-    spec_job = submit_job(
-        *spec_workers,
-        [this, count, &staging, &staged_seconds](
-            const std::atomic<bool>& cancel) {
-          const Stopwatch stage_watch;
-          pool_.stage_samples(
-              count, config_.seed, config_.parallel_sampling,
-              context_.workers,
-              [this, &cancel] {
-                return cancel.load(std::memory_order_acquire) ||
-                       context_.stop_requested();
-              },
-              staging);
-          staged_seconds = stage_watch.elapsed_seconds();
-        });
-  };
-
-  // Terminal stages (accept/deadline/cap) invalidate the in-flight
-  // speculation: cancel, join, and account the partial batch as discarded
-  // on the breaking stage's row. Regenerating later (a subsequent query on
-  // the shared pool) reproduces the identical samples by the substream
-  // contract, so discarding loses work, never determinism.
-  const auto discard_speculation = [&](StageMetrics& metrics) {
-    if (!spec_job.valid()) return;
-    spec_job.cancel();
-    spec_job.join();
-    const std::uint64_t discarded = staging.staged_count();
-    metrics.speculative_samples_discarded += discarded;
-    result.speculative_samples_discarded += discarded;
-    staging.clear();
-  };
-
-  // Pipeline fields of the NEXT stage's metrics row, set at the boundary
-  // that feeds it (mirrors the stage_samples/stage_sampling carry).
-  bool stage_pipelined = false;
-  double stage_overlap = 0.0;
-  std::uint64_t stage_committed = 0;
-  std::uint64_t stage_discarded = 0;
 
   std::unique_ptr<MaxrResume> carry;
   MaxrSolution solution;
@@ -195,21 +145,9 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     StageMetrics metrics;
     metrics.stage = result.stop_stages;
     metrics.pool_size = pool_.size();
-    metrics.samples_added = stage_samples;
-    metrics.sampling_seconds = stage_sampling;
+    metrics.samples_added = grown;
+    metrics.sampling_seconds = grow_seconds;
     metrics.warm_start = config_.warm_start && result.stop_stages > 1;
-    metrics.pipelined = stage_pipelined;
-    metrics.overlap_seconds = stage_overlap;
-    metrics.speculative_samples_committed = stage_committed;
-    metrics.speculative_samples_discarded = stage_discarded;
-    stage_samples = 0;
-    stage_sampling = 0.0;
-    stage_pipelined = false;
-    stage_overlap = 0.0;
-    stage_committed = 0;
-    stage_discarded = 0;
-
-    launch_speculation();
 
     const Stopwatch solve_watch;
     solution = config_.warm_start ? solver.resume(pool_, k, carry)
@@ -245,7 +183,6 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
           solution.c_hat <= (1.0 + params.ssa_eps1()) * estimate.value) {
         result.estimated_benefit = estimate.value;
         metrics.accepted = true;
-        discard_speculation(metrics);
         context_.record_stage(metrics);
         break;
       }
@@ -255,71 +192,19 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     // result always carries a real candidate seed set.
     if (context_.stop_requested()) {
       result.reached_deadline = true;
-      discard_speculation(metrics);
       context_.record_stage(metrics);
       break;
     }
     if (pool_.size() >= cap) {
       result.reached_cap = true;
-      discard_speculation(metrics);  // no-op: nothing launches at cap
       context_.record_stage(metrics);
       break;
     }
     context_.record_stage(metrics);
 
-    // Stage boundary: the serial schedule grows here; the pipelined one
-    // harvests the background batch instead. The speculation is valid
-    // exactly when it targeted THIS boundary's grow (base/count/seed all
-    // match — a solve never mutates the pool, so only a cancelled staging
-    // can miss); anything else falls back to the synchronous grow, which
-    // regenerates the identical samples from the same substreams.
-    const std::uint64_t target = std::min(cap, pool_.size() * 2);
-    stage_samples = target - pool_.size();
-    bool committed = false;
-    if (spec_job.valid()) {
-      const Stopwatch wait_watch;
-      spec_job.join();
-      const double wait_seconds = wait_watch.elapsed_seconds();
-      if (staging.complete() && staging.base() == pool_.size() &&
-          staging.count() == stage_samples &&
-          staging.seed() == config_.seed &&
-          staging.epoch() == pool_.grow_epoch()) {
-        const Stopwatch commit_watch;
-        pool_.commit_staged(std::move(staging), config_.parallel_sampling,
-                            context_.workers);
-        const double commit_seconds = commit_watch.elapsed_seconds();
-        // sampling_seconds stays "time spent generating + splicing" so the
-        // realized-throughput numbers compare across schedules; the hidden
-        // slice (generation minus what the boundary actually waited) is
-        // reported separately as overlap.
-        stage_sampling = staged_seconds + commit_seconds;
-        stage_overlap = std::max(0.0, staged_seconds - wait_seconds);
-        stage_pipelined = true;
-        stage_committed = stage_samples;
-        result.sampling_seconds += stage_sampling;
-        result.samples_generated += stage_samples;
-        result.overlap_seconds += stage_overlap;
-        result.speculative_samples_committed += stage_samples;
-        committed = true;
-        log(LogLevel::kDebug)
-            << "IMCAF commit: " << stage_samples << " staged samples in "
-            << commit_seconds << " s (" << stage_overlap
-            << " s generation hidden), |R|=" << pool_.size();
-      } else {
-        // Cancelled mid-staging (deadline raced the stop check): drop the
-        // partial batch and regrow synchronously — identical samples by
-        // the substream contract. The next row carries the discard count.
-        const std::uint64_t discarded = staging.staged_count();
-        result.speculative_samples_discarded += discarded;
-        stage_discarded = discarded;
-        staging.clear();
-      }
-    }
-    if (!committed) {
-      const double before = result.sampling_seconds;
-      timed_grow(stage_samples, result);
-      stage_sampling = result.sampling_seconds - before;
-    }
+    // Stage boundary: double the pool (capped) for the next stage.
+    grown = std::min(cap, pool_.size() * 2) - pool_.size();
+    grow_seconds = timed_grow(grown, result);
   }
 
   result.seeds = std::move(solution.seeds);

@@ -19,14 +19,9 @@
 // hold the recorded outputs. The ExecutionContext adds only *optional*
 // behavior (deadline, cancellation, metrics) that is inert by default.
 //
-// Pipelining (ImcafConfig::pipeline, DESIGN.md §15): each stage's solve
-// and stop-estimate overlap with speculative background generation of the
-// next doubling batch into a PoolStagingArena; the stage boundary commits
-// the batch through the regular merge (or discards it when the stop
-// condition fired first). The speculative batch uses the same per-sample
-// RNG substreams and stitched order as the grow() it replaces, so the
-// pipelined schedule is bit-identical to the serial one — the golden pins
-// hold with the pipeline on and off, at any thread count.
+// Schedule (DESIGN.md §15): one serial stage loop — grow, solve, estimate,
+// then grow at the stage boundary. Parallelism lives inside the layers
+// (parallel growth, parallel selection), never across them.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +69,7 @@ class ImcEngine {
   [[nodiscard]] std::vector<ImcafResult> solve_many(
       std::span<const EngineQuery> queries);
 
-  /// Replaces the engine's pool with one loaded from `path` — a binary v2
+  /// Replaces the engine's pool with one loaded from `path` — a binary v3
   /// snapshot (attached zero-copy via mmap) or a text v1 pool file.
   /// The file must have been saved against the SAME graph and community
   /// structure (fingerprint-checked for snapshots) and the same diffusion
@@ -98,15 +93,13 @@ class ImcEngine {
   /// the caller supplies the mutable aliases) — std::invalid_argument
   /// otherwise, nothing mutated. A repair bumps PoolEpoch::repairs, which
   /// invalidates every outstanding warm-start carrier (solvers fall back
-  /// cold via their samples_since guard) and any staged speculative batch
-  /// (the pipeline's commit check rejects it and regrows synchronously).
-  /// Basic guarantee only: if the repair itself throws (sampler invariant
-  /// broken by the delta, e.g. a community grown past 64 members or LT
-  /// in-weights summing past 1), the graph/communities are already
-  /// mutated but the pool is untouched — and now inconsistent with them;
-  /// the engine must not be used further. Not thread-safe against a
-  /// concurrent solve(). Returns the repair statistics (samples
-  /// regenerated vs pool size).
+  /// cold via their samples_since guard). Strong guarantee: every batch
+  /// the pool repair could not serve is rejected before the first write —
+  /// invalid edges or moves, a community grown past 64 members, and under
+  /// LT a node's in-weights summing past 1 — so on std::invalid_argument
+  /// the graph, the communities and the pool are all unchanged. Not
+  /// thread-safe against a concurrent solve(). Returns the repair
+  /// statistics (samples regenerated vs pool size).
   RicPool::RepairStats apply_delta(Graph& graph, CommunitySet& communities,
                                    const GraphDelta& delta);
 
@@ -118,7 +111,8 @@ class ImcEngine {
 
  private:
   /// All growth funnels through here: throughput accounting + debug log.
-  void timed_grow(std::uint64_t count, ImcafResult& result);
+  /// Returns the wall seconds the growth took.
+  double timed_grow(std::uint64_t count, ImcafResult& result);
 
   const Graph* graph_;
   const CommunitySet* communities_;

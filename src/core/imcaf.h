@@ -40,12 +40,9 @@ struct ImcafConfig {
   /// swap them). Pool CONTENT is bit-identical either way; the golden
   /// determinism pins hold under both.
   ArenaBackend pool_backend = ArenaBackend::kRam;
-  /// Overlap each stage's solve/estimate with speculative generation of
-  /// the NEXT stage's samples into a staging arena, committed at the stage
-  /// boundary (DESIGN.md §15). Results are BIT-IDENTICAL either way — the
-  /// committed batch uses the same RNG substreams and merge as the serial
-  /// schedule; off exists for benchmarking the serial baseline and for
-  /// hosts where the background thread is pure overhead.
+  /// Ignored: the engine runs one serial stage schedule (DESIGN.md §15).
+  /// Kept only so existing callers that still set it compile; the next
+  /// benchmark change removes it.
   bool pipeline = true;
 };
 
@@ -74,11 +71,9 @@ struct ImcafResult {
   /// that completed — never empty, since stopping is only checked after a
   /// solve.
   bool reached_deadline = false;
-  /// Pipelined-execution accounting (all zero when ImcafConfig::pipeline
-  /// is off or no speculation ran): sampling time hidden under the
-  /// solve/estimate phases (generation seconds minus the boundary wait),
-  /// and how many speculatively generated samples were committed vs
-  /// thrown away because the stop condition fired first.
+  /// Always 0: the engine runs no speculative sampling any more (DESIGN.md
+  /// §15). Kept only so existing readers compile; the next benchmark
+  /// change removes them.
   double overlap_seconds = 0.0;
   std::uint64_t speculative_samples_committed = 0;
   std::uint64_t speculative_samples_discarded = 0;

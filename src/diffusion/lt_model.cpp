@@ -5,15 +5,19 @@
 
 namespace imc {
 
+bool lt_in_weights_valid(const Graph& graph, NodeId v) {
+  double total = 0.0;
+  for (const Neighbor& nb : graph.in_neighbors(v)) {
+    total += static_cast<double>(nb.weight);
+  }
+  // Edge weights are stored as float; allow float-level rounding slack
+  // (weighted cascade sums to exactly 1 in real arithmetic).
+  return !(total > 1.0 + 1e-5);
+}
+
 bool lt_weights_valid(const Graph& graph) {
   for (NodeId v = 0; v < graph.node_count(); ++v) {
-    double total = 0.0;
-    for (const Neighbor& nb : graph.in_neighbors(v)) {
-      total += static_cast<double>(nb.weight);
-    }
-    // Edge weights are stored as float; allow float-level rounding slack
-    // (weighted cascade sums to exactly 1 in real arithmetic).
-    if (total > 1.0 + 1e-5) return false;
+    if (!lt_in_weights_valid(graph, v)) return false;
   }
   return true;
 }

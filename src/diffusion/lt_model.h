@@ -27,4 +27,7 @@ namespace imc {
 /// Validates the LT weight precondition (Σ_in w <= 1 per node).
 [[nodiscard]] bool lt_weights_valid(const Graph& graph);
 
+/// The same precondition for one node.
+[[nodiscard]] bool lt_in_weights_valid(const Graph& graph, NodeId v);
+
 }  // namespace imc

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "community/community_set.h"
 #include "graph/graph.h"
+#include "sampling/ric_sample.h"
 
 namespace imc {
 
@@ -50,6 +52,16 @@ void validate_moves(const CommunitySet& communities,
       throw std::invalid_argument(
           "apply_delta: source threshold would exceed its shrunken "
           "population");
+    }
+    const std::int64_t grown =
+        static_cast<std::int64_t>(communities.population(m.to)) +
+        drift[m.to] + 1;
+    if (grown > kMaxCommunityPopulation) {
+      throw std::invalid_argument(
+          "apply_delta: move grows community " + std::to_string(m.to) +
+          " to " + std::to_string(grown) + " members (the sampler's member "
+          "mask holds at most " + std::to_string(kMaxCommunityPopulation) +
+          ")");
     }
     where[m.node] = m.to;
     --drift[from];

@@ -3,7 +3,7 @@
 // repairs counter and a header checksum; the magic string is unchanged.)
 //
 // The text format (pool_io.h) re-parses and re-appends every sample:
-// O(pool) work and allocations before the first query can run. The v2
+// O(pool) work and allocations before the first query can run. The binary
 // snapshot instead persists the pool's flat arenas verbatim — SoA
 // metadata, sample-major twin, community counters AND the CSR inverted
 // index — so a reload is either one sequential read (streamed) or, with
@@ -106,7 +106,7 @@ enum class SnapshotTrust {
   kTrustPayload,
 };
 
-/// Writes the v2 snapshot. The pool's pending index merge (if any) is
+/// Writes the v3 snapshot. The pool's pending index merge (if any) is
 /// materialized first so the CSR sections are current.
 void write_ric_pool_snapshot(std::ostream& out, const RicPool& pool);
 
@@ -140,11 +140,11 @@ void save_ric_pool_snapshot(const std::string& path, const RicPool& pool);
     SnapshotTrust trust = SnapshotTrust::kVerifyPayload,
     ArenaBackend materialize_backend = ArenaBackend::kMmap);
 
-/// True when `path` starts with the v2 snapshot magic (a cheap sniff for
+/// True when `path` starts with the snapshot magic (a cheap sniff for
 /// format dispatch; false for unreadable files).
 [[nodiscard]] bool is_pool_snapshot_file(const std::string& path);
 
-/// Format-dispatching load: v2 snapshots are ATTACHED zero-copy (with
+/// Format-dispatching load: binary snapshots are ATTACHED zero-copy (with
 /// `trust` forwarded — payload-verifying by default), anything else goes
 /// through the text v1 loader. `backend` is where the loaded pool's owned
 /// arenas live (text path) or where an attached pool materializes on its

@@ -156,7 +156,7 @@ void RicPool::check_capacity(std::uint64_t count) const {
   }
 }
 
-std::unique_ptr<RicSampler> RicPool::acquire_sampler() const {
+std::unique_ptr<RicSampler> RicPool::acquire_sampler() {
   {
     const std::lock_guard<std::mutex> lock(sampler_mutex_);
     if (!sampler_cache_.empty()) {
@@ -168,7 +168,7 @@ std::unique_ptr<RicSampler> RicPool::acquire_sampler() const {
   return std::make_unique<RicSampler>(*graph_, *communities_, model_);
 }
 
-void RicPool::release_sampler(std::unique_ptr<RicSampler> sampler) const {
+void RicPool::release_sampler(std::unique_ptr<RicSampler> sampler) {
   const std::lock_guard<std::mutex> lock(sampler_mutex_);
   sampler_cache_.push_back(std::move(sampler));
 }
@@ -291,159 +291,6 @@ void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
   // the read path branch-predictable.
   merge_fresh_into_index(pool->size(), pool);
   ++grows_;
-}
-
-void RicPool::stage_samples(std::uint64_t count, std::uint64_t seed,
-                            bool parallel, ThreadPool* workers,
-                            const std::function<bool()>& cancelled,
-                            PoolStagingArena& out) const {
-  out.clear();
-  out.base_ = size();
-  out.count_ = count;
-  out.seed_ = seed;
-  out.epoch_ = grow_epoch();
-  if (count == 0) {
-    out.complete_ = true;
-    return;
-  }
-  check_capacity(count);
-
-  ThreadPool* pool = nullptr;
-  if (parallel) {
-    pool = workers != nullptr ? workers : &default_pool();
-    if (pool->size() <= 1) pool = nullptr;
-  }
-  // Same fixed (count, parts) -> sample-range mapping as grow()'s parallel
-  // path. The part structure only decides buffer boundaries: the stitched
-  // commit concatenates parts in order (= global sample order), so the
-  // spliced arena bytes do not depend on it — but keeping the mapping
-  // identical means staging and growing even share their copy pattern.
-  const std::uint64_t base = out.base_;
-  const std::uint64_t parts =
-      pool == nullptr
-          ? 1
-          : std::max<std::uint64_t>(
-                1, std::min<std::uint64_t>(
-                       count, static_cast<std::uint64_t>(pool->size()) * 4));
-  const auto part_begin = [&](std::uint64_t p) { return count * p / parts; };
-  out.parts_.resize(parts);
-
-  std::atomic<bool> stopped{false};
-  const auto generate_parts = [&](std::uint64_t begin, std::uint64_t end,
-                                  unsigned /*chunk*/) {
-    std::unique_ptr<RicSampler> sampler = acquire_sampler();
-    for (std::uint64_t p = begin; p < end && !stopped.load(std::memory_order_relaxed);
-         ++p) {
-      PoolStagingArena::Part& part = out.parts_[p];
-      const std::uint64_t lo = part_begin(p);
-      const std::uint64_t hi = part_begin(p + 1);
-      part.metas.reserve(hi - lo);
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        // Polled per sample: speculation must wind down promptly when the
-        // engine cancels it (stop condition fired, deadline expired).
-        if (cancelled && cancelled()) {
-          stopped.store(true, std::memory_order_relaxed);
-          break;
-        }
-        // One substream per global sample index — identical to grow(), so
-        // a committed batch is bit-identical to direct growth.
-        Rng rng(splitmix_of(seed, base + i));
-        part.metas.push_back(sampler->generate_into(rng, part.touches));
-      }
-    }
-    release_sampler(std::move(sampler));
-  };
-  if (pool == nullptr) {
-    generate_parts(0, parts, 0);
-  } else {
-    parallel_for(*pool, parts, generate_parts);
-  }
-  out.complete_ = !stopped.load(std::memory_order_relaxed);
-}
-
-void RicPool::commit_staged(PoolStagingArena&& staged, bool parallel,
-                            ThreadPool* workers) {
-  if (!staged.complete_) {
-    throw std::invalid_argument(
-        "RicPool::commit_staged: staging arena is incomplete (staging was "
-        "cancelled or never ran)");
-  }
-  if (staged.base_ != size() || !(staged.epoch_ == grow_epoch())) {
-    throw std::invalid_argument(
-        "RicPool::commit_staged: stale staging arena (the pool grew since "
-        "stage_samples captured it)");
-  }
-  if (staged.count_ == 0) {
-    staged.clear();
-    return;  // mirrors grow(0): no growth operation happened
-  }
-  check_capacity(staged.count_);
-  ensure_mutable();
-
-  ThreadPool* pool = nullptr;
-  if (parallel) {
-    pool = workers != nullptr ? workers : &default_pool();
-    if (pool->size() <= 1) pool = nullptr;
-  }
-
-  // Stitch the staged part arenas into the sample-major arena in part
-  // order (= global sample order) — the same prefix-sum + bulk-copy splice
-  // grow()'s parallel path uses, so the committed bytes are identical to
-  // direct growth for any staging part count.
-  const std::uint64_t parts = staged.parts_.size();
-  std::vector<std::uint64_t> part_base(parts + 1, 0);
-  for (std::uint64_t p = 0; p < parts; ++p) {
-    part_base[p + 1] = part_base[p] + staged.parts_[p].touches.size();
-  }
-  const std::uint64_t old_arena = sample_arena_.size();
-  sample_arena_.resize(old_arena + part_base[parts]);
-  const auto stitch_parts = [&](std::uint64_t begin, std::uint64_t end,
-                                unsigned /*chunk*/) {
-    for (std::uint64_t p = begin; p < end; ++p) {
-      std::copy(staged.parts_[p].touches.begin(),
-                staged.parts_[p].touches.end(),
-                sample_arena_.begin() +
-                    static_cast<std::ptrdiff_t>(old_arena + part_base[p]));
-    }
-  };
-  if (pool == nullptr) {
-    stitch_parts(0, parts, 0);
-  } else {
-    parallel_for(*pool, parts, stitch_parts);
-  }
-
-  thresholds_.reserve(thresholds_.size() + staged.count_);
-  source_community_.reserve(source_community_.size() + staged.count_);
-  sample_offsets_.reserve(sample_offsets_.size() + staged.count_);
-  for (std::uint64_t p = 0; p < parts; ++p) {
-    for (const RicSampleMeta& meta : staged.parts_[p].metas) {
-      register_metadata(meta.community, meta.threshold, meta.touch_count);
-    }
-  }
-
-  // One grow() worth of index merge + exactly one watermark bump: holders
-  // of a PoolEpoch cannot tell a committed stage from a direct grow.
-  merge_fresh_into_index(pool == nullptr ? 1 : pool->size(), pool);
-  ++grows_;
-  staged.clear();
-}
-
-std::uint64_t PoolStagingArena::staged_count() const noexcept {
-  std::uint64_t total = 0;
-  for (const Part& part : parts_) total += part.metas.size();
-  return total;
-}
-
-void PoolStagingArena::clear() noexcept {
-  for (Part& part : parts_) {
-    part.touches.clear();
-    part.metas.clear();
-  }
-  base_ = 0;
-  count_ = 0;
-  seed_ = 0;
-  epoch_ = RicPool::PoolEpoch{};
-  complete_ = false;
 }
 
 void RicPool::append(RicSample sample) {
@@ -753,7 +600,7 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   }
 
   if (stats.total == 0) {
-    ++repairs_;  // future samples may differ: stale stagers must not commit
+    ++repairs_;  // future samples may differ: stale carriers must not resume
     return stats;
   }
   ensure_index();  // the affected set is read off the PRE-delta index

@@ -24,7 +24,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -41,7 +40,6 @@
 namespace imc {
 
 class ThreadPool;
-class PoolStagingArena;
 
 class RicPool {
  public:
@@ -66,9 +64,9 @@ class RicPool {
   /// size, it would have replayed a different number of growth steps).
   /// `repairs` counts completed invalidate_and_repair() calls: a repair
   /// rewrites samples IN PLACE (size and grows unchanged), so anything
-  /// holding per-sample state — warm-start carriers, CoverageState, staged
-  /// arenas — keys on it to detect that the prefix it cached is no longer
-  /// the prefix the pool serves (DESIGN.md §16).
+  /// holding per-sample state — warm-start carriers, CoverageState — keys
+  /// on it to detect that the prefix it cached is no longer the prefix the
+  /// pool serves (DESIGN.md §16).
   struct PoolEpoch {
     std::uint64_t samples = 0;  // pool size at capture
     std::uint64_t grows = 0;    // growth operations completed at capture
@@ -104,36 +102,6 @@ class RicPool {
   void grow(std::uint64_t count, std::uint64_t seed, bool parallel = true,
             ThreadPool* workers = nullptr);
 
-  /// Speculative counterpart of grow(): generates the samples grow(count,
-  /// seed, ...) WOULD append next — same per-sample RNG substreams
-  /// splitmix_of(seed, size() + i) — into caller-owned staging buffers
-  /// without touching the pool (const: the live arenas, the CSR index and
-  /// the PoolEpoch watermark are all unchanged). `commit_staged` later
-  /// splices the batch in with the regular two-pass merge, producing a
-  /// pool bit-identical to the direct grow() — or the staging arena is
-  /// simply dropped when the speculation missed. `cancelled` (may be
-  /// empty) is polled once per sample; on cancellation the arena is left
-  /// incomplete (complete() == false) and commit will refuse it. Safe to
-  /// run concurrently with const readers of this pool (the engine overlaps
-  /// it with solve/estimate); the only shared mutable state is the
-  /// mutex-guarded sampler cache. Throws std::length_error when the batch
-  /// would overflow 32-bit sample ids.
-  void stage_samples(std::uint64_t count, std::uint64_t seed, bool parallel,
-                     ThreadPool* workers,
-                     const std::function<bool()>& cancelled,
-                     PoolStagingArena& out) const;
-
-  /// Appends a batch staged by stage_samples() to the pool — stitch into
-  /// the sample-major arena, register metadata, merge the CSR index, bump
-  /// the growth watermark — exactly one grow() worth of mutation, so the
-  /// resulting pool (content AND PoolEpoch) is bit-identical to having
-  /// called grow(staged.count(), staged.seed()) at the staging point.
-  /// Consumes the arena (left cleared). Throws std::invalid_argument when
-  /// the arena is incomplete (cancelled staging) or stale (the pool grew
-  /// since staging — base/epoch mismatch); the pool is untouched then.
-  void commit_staged(PoolStagingArena&& staged, bool parallel = true,
-                     ThreadPool* workers = nullptr);
-
   /// Appends one externally produced sample (deserialization, tests).
   /// Validates community id, threshold and touching node ids; throws
   /// std::invalid_argument on mismatch with the bound structures. The CSR
@@ -162,7 +130,7 @@ class RicPool {
   /// Outcome of invalidate_and_repair(): how much of the pool had to be
   /// regenerated. `repaired == 0` means the delta could not have changed
   /// any existing sample (the epoch still bumps — future samples could
-  /// differ, so staged arenas and carriers must not survive).
+  /// differ, so warm-start carriers must not survive).
   struct RepairStats {
     std::uint64_t repaired = 0;  // samples regenerated in place
     std::uint64_t total = 0;     // pool size at repair time
@@ -189,9 +157,9 @@ class RicPool {
   /// the community_frequency counters and the CSR index are rebuilt, not
   /// drifted. Bumps PoolEpoch::repairs when any sample was regenerated OR
   /// any future sample could differ (i.e. whenever `effects` is
-  /// non-empty), invalidating warm-start carriers and staged arenas.
-  /// Returns how many samples were repaired. Not safe to run concurrently
-  /// with readers or stagers of this pool. Throws std::invalid_argument
+  /// non-empty), invalidating warm-start carriers. Returns how many
+  /// samples were repaired. Not safe to run concurrently with readers of
+  /// this pool. Throws std::invalid_argument
   /// (pool untouched) when the mutated structures violate sampling
   /// invariants — community population > 64 members, LT in-weight sums
   /// > 1.
@@ -390,10 +358,9 @@ class RicPool {
   void check_capacity(std::uint64_t count) const;
 
   /// Pops a cached sampler or constructs one; return via release_sampler.
-  /// Const because read-side producers (stage_samples) borrow samplers
-  /// too; the cache is mutable state guarded by sampler_mutex_.
-  [[nodiscard]] std::unique_ptr<RicSampler> acquire_sampler() const;
-  void release_sampler(std::unique_ptr<RicSampler> sampler) const;
+  /// Thread-safe: grow()'s parallel parts borrow samplers concurrently.
+  [[nodiscard]] std::unique_ptr<RicSampler> acquire_sampler();
+  void release_sampler(std::unique_ptr<RicSampler> sampler);
 
   /// Registers one sample's metadata (SoA mirrors + community counter +
   /// sample-major offset for `touch_count` freshly appended arena pairs).
@@ -451,10 +418,9 @@ class RicPool {
   ArenaVector<std::pair<NodeId, std::uint64_t>> sample_arena_;
 
   // Cached RicSampler instances, reused across grow() parts and calls so
-  // repeated growth never reconstructs O(n) scratch buffers. Mutable:
-  // const staging reuses the cache under the mutex.
-  mutable std::vector<std::unique_ptr<RicSampler>> sampler_cache_;
-  mutable std::mutex sampler_mutex_;
+  // repeated growth never reconstructs O(n) scratch buffers.
+  std::vector<std::unique_ptr<RicSampler>> sampler_cache_;
+  std::mutex sampler_mutex_;
 
   // Flat CSR inverted index over samples [0, indexed_samples_); mutable so
   // const readers can materialize pending appends on demand.
@@ -463,61 +429,6 @@ class RicPool {
   mutable std::uint64_t indexed_samples_ = 0;
   mutable std::atomic<bool> index_stale_{false};
   mutable std::mutex index_mutex_;
-};
-
-/// Sampler-owned staging buffers for one speculative growth batch — the
-/// double-buffer half of the pipelined engine (DESIGN.md §15). Holds the
-/// per-part touch arenas and metadata stage_samples() produced, plus the
-/// provenance (base size, seed, epoch at staging) commit_staged() checks
-/// before splicing the batch into the live pool. A default-constructed
-/// arena is empty and reusable across stages: commit and clear both reset
-/// it, and the buffers keep their capacity for the next staging round.
-class PoolStagingArena {
- public:
-  PoolStagingArena() = default;
-  PoolStagingArena(PoolStagingArena&&) noexcept = default;
-  PoolStagingArena& operator=(PoolStagingArena&&) noexcept = default;
-  PoolStagingArena(const PoolStagingArena&) = delete;
-  PoolStagingArena& operator=(const PoolStagingArena&) = delete;
-
-  /// True once stage_samples() generated the full batch (not cancelled).
-  [[nodiscard]] bool complete() const noexcept { return complete_; }
-  /// Requested batch size (what commit will append when complete).
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  /// Pool size at staging time — the batch's sample ids start here.
-  [[nodiscard]] std::uint64_t base() const noexcept { return base_; }
-  /// Seed the substreams were derived from.
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-  /// Full pool watermark at staging time. Besides the base()/size match,
-  /// commit requires this to still equal the pool's grow_epoch() — in
-  /// particular a delta repair between staging and commit (which rewrites
-  /// samples without changing the size) bumps PoolEpoch::repairs and
-  /// makes the staged batch stale, since it was generated from the
-  /// pre-delta graph.
-  [[nodiscard]] RicPool::PoolEpoch epoch() const noexcept { return epoch_; }
-  /// Samples actually generated so far (== count() when complete; the
-  /// partial progress of a cancelled staging otherwise).
-  [[nodiscard]] std::uint64_t staged_count() const noexcept;
-
-  /// Drops any staged content; capacity is retained for reuse.
-  void clear() noexcept;
-
- private:
-  friend class RicPool;
-
-  /// One generation part: a contiguous run of the batch's sample indices,
-  /// emitted arena-direct exactly like grow()'s PartOutput.
-  struct Part {
-    RicSampler::TouchArena touches;
-    std::vector<RicSampleMeta> metas;
-  };
-
-  std::vector<Part> parts_;
-  std::uint64_t base_ = 0;
-  std::uint64_t count_ = 0;
-  std::uint64_t seed_ = 0;
-  RicPool::PoolEpoch epoch_;
-  bool complete_ = false;
 };
 
 }  // namespace imc

@@ -3,21 +3,18 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
-#include "core/engine.h"
 #include "core/gain_kernels.h"
 #include "graph/delta.h"
 #include "core/greedy.h"
 #include "core/maf.h"
 #include "core/objective.h"
 #include "core/ubg.h"
-#include "util/context.h"
 #include "sampling/pool_io.h"
 #include "sampling/pool_snapshot.h"
 #include "sampling/ric_pool.h"
@@ -581,110 +578,6 @@ std::optional<std::string> check_warm_vs_cold(const InstanceSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
-// Check: pipelined_vs_serial
-// ---------------------------------------------------------------------------
-
-/// The pipelined engine schedule (ImcafConfig::pipeline, DESIGN.md §15)
-/// against the serial one: same instance, same config, overlap on vs off,
-/// must agree bit-for-bit — seeds, ĉ and the independent estimate, final
-/// |R|, stop-stage count, the PoolEpoch watermark, and the per-stage
-/// sample accounting rows. The thread count rotates across the case
-/// population ({1, 2, 8} by case seed), so the contract is exercised under
-/// no concurrency, mild concurrency and oversubscription. Shrunk ε/δ
-/// bounds keep Λ small enough that the doubling loop runs 2–3 real stages
-/// per case.
-std::optional<std::string> check_pipelined_vs_serial(const InstanceSpec& spec,
-                                                     std::uint64_t case_seed) {
-  const Graph graph = spec.build_graph();
-  const CommunitySet communities = spec.build_communities();
-
-  Rng rng(case_seed ^ 0x9191e11eULL);
-  const auto k = static_cast<std::uint32_t>(
-      rng.between(1, std::min<std::int64_t>(4, graph.node_count())));
-
-  ImcafConfig config;
-  config.params.epsilon = 0.8;  // Λ ≈ 143: multiple doubling stages, fast
-  config.params.delta = 0.4;
-  config.seed = case_seed;
-  config.model = spec.model;
-  config.max_samples = 300 + case_seed % 101;  // 2–3 stages before the cap
-  config.parallel_sampling = true;
-
-  const unsigned threads = std::array<unsigned, 3>{1, 2, 8}[
-      (case_seed >> 11) % 3];
-  ThreadPool workers(threads);
-  ExecutionContext context;
-  context.workers = &workers;
-
-  const UbgSolver solver;
-  struct Run {
-    ImcafResult result;
-    std::vector<StageMetrics> rows;
-    RicPool::PoolEpoch epoch;
-  };
-  const auto run_engine = [&](bool pipeline) {
-    RecordingMetricsSink sink;
-    ExecutionContext run_context = context;
-    run_context.metrics = &sink;
-    ImcafConfig run_config = config;
-    run_config.pipeline = pipeline;
-    ImcEngine engine(graph, communities, run_config, run_context);
-    Run run;
-    run.result = engine.solve(k, solver);
-    run.rows = sink.stages();
-    run.epoch = engine.pool().grow_epoch();
-    return run;
-  };
-
-  const Run serial = run_engine(false);
-  const Run pipelined = run_engine(true);
-  const std::string at = " at k=" + std::to_string(k) +
-                         ", threads=" + std::to_string(threads) +
-                         ", cap=" + std::to_string(config.max_samples);
-
-  if (pipelined.result.seeds != serial.result.seeds) {
-    return "pipelined seeds " + describe_nodes(pipelined.result.seeds) +
-           " != serial " + describe_nodes(serial.result.seeds) + at;
-  }
-  if (pipelined.result.c_hat != serial.result.c_hat) {
-    return "pipelined c_hat not bit-identical to serial" + at;
-  }
-  if (pipelined.result.estimated_benefit != serial.result.estimated_benefit) {
-    return "pipelined estimated_benefit not bit-identical to serial" + at;
-  }
-  if (pipelined.result.samples_used != serial.result.samples_used ||
-      pipelined.result.stop_stages != serial.result.stop_stages ||
-      pipelined.result.reached_cap != serial.result.reached_cap) {
-    return "pipelined stage/sample schedule diverged from serial" + at;
-  }
-  if (!(pipelined.epoch == serial.epoch)) {
-    return "pipelined PoolEpoch {" + std::to_string(pipelined.epoch.samples) +
-           "," + std::to_string(pipelined.epoch.grows) + "} != serial {" +
-           std::to_string(serial.epoch.samples) + "," +
-           std::to_string(serial.epoch.grows) + "}" + at;
-  }
-  if (pipelined.rows.size() != serial.rows.size()) {
-    return "pipelined metrics row count diverged" + at;
-  }
-  for (std::size_t i = 0; i < serial.rows.size(); ++i) {
-    const StageMetrics& p = pipelined.rows[i];
-    const StageMetrics& s = serial.rows[i];
-    if (p.pool_size != s.pool_size || p.samples_added != s.samples_added ||
-        p.estimate_samples != s.estimate_samples ||
-        p.warm_start != s.warm_start || p.accepted != s.accepted) {
-      return "stage " + std::to_string(i + 1) +
-             " metrics diverged between schedules" + at;
-    }
-  }
-  // Sanity on the serial baseline: it must never report speculation.
-  if (serial.result.speculative_samples_committed != 0 ||
-      serial.result.overlap_seconds != 0.0) {
-    return "serial schedule reported speculative work" + at;
-  }
-  return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
 // Check: pool_roundtrip
 // ---------------------------------------------------------------------------
 
@@ -1111,7 +1004,6 @@ std::vector<FuzzCheck> default_checks() {
       {"greedy", check_greedy},
       {"kernel_variants", check_kernel_variants},
       {"warm_vs_cold", check_warm_vs_cold},
-      {"pipelined_vs_serial", check_pipelined_vs_serial},
       {"pool_roundtrip", check_pool_roundtrip},
       {"delta_vs_rebuild", check_delta_vs_rebuild},
       {"sampler_distribution", check_sampler_distribution},

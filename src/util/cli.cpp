@@ -1,22 +1,31 @@
 #include "util/cli.h"
 
+#include <charconv>
 #include <cstdlib>
-#include <stdexcept>
 #include <string_view>
 
 namespace imc {
 
 namespace {
 
-[[nodiscard]] bool parse_bool(const std::string& text) {
-  if (text.empty() || text == "1" || text == "true" || text == "yes" ||
-      text == "on") {
-    return true;
+[[nodiscard]] UsageError bad_value(const std::string& name,
+                                   const std::string& text,
+                                   const char* expected) {
+  return UsageError("--" + name + " expects " + expected + ", got '" + text +
+                    "'");
+}
+
+/// Parses the whole of `text` as a T; anything left over is an error.
+template <typename T>
+[[nodiscard]] T parse_number(const std::string& name, const std::string& text,
+                             const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    throw bad_value(name, text, expected);
   }
-  if (text == "0" || text == "false" || text == "no" || text == "off") {
-    return false;
-  }
-  throw std::invalid_argument("cannot parse boolean option value: " + text);
+  return value;
 }
 
 }  // namespace
@@ -60,19 +69,34 @@ std::int64_t ArgParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  return std::stoll(it->second);
+  return parse_number<std::int64_t>(name, it->second, "an integer");
 }
 
 double ArgParser::get_double(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  return std::stod(it->second);
+  return parse_number<double>(name, it->second, "a number");
 }
 
 bool ArgParser::get_bool(const std::string& name, bool fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  return parse_bool(it->second);
+  const std::string& text = it->second;
+  if (text.empty() || text == "1" || text == "true" || text == "yes" ||
+      text == "on") {
+    return true;
+  }
+  if (text == "0" || text == "false" || text == "no" || text == "off") {
+    return false;
+  }
+  throw bad_value(name, text, "a boolean");
+}
+
+std::vector<std::string> ArgParser::names() const {
+  std::vector<std::string> out;
+  out.reserve(options_.size());
+  for (const auto& [name, value] : options_) out.push_back(name);
+  return out;
 }
 
 std::optional<std::string> env_string(const char* name) {

@@ -8,10 +8,18 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace imc {
+
+/// An argument mistake diagnosable up front: a malformed or out-of-range
+/// value, an unknown flag, a flag that does not apply. Front ends report it
+/// with their usage text and exit 2, apart from runtime failures (exit 1).
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
 
 class ArgParser {
  public:
@@ -20,6 +28,9 @@ class ArgParser {
   /// True if `--name` or `--name=...` was passed.
   [[nodiscard]] bool has(const std::string& name) const;
 
+  /// Typed getters return `fallback` when the option is absent. A value
+  /// that does not parse in full throws UsageError naming the flag and
+  /// the value.
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,
@@ -27,6 +38,9 @@ class ArgParser {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+
+  /// Names of every option passed (without the leading `--`), sorted.
+  [[nodiscard]] std::vector<std::string> names() const;
 
   /// Non-option (positional) arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

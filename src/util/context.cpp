@@ -37,13 +37,6 @@ void RecordingMetricsSink::write_json(std::ostream& out) const {
     write_bool(out, s.warm_start);
     out << ", \"accepted\": ";
     write_bool(out, s.accepted);
-    out << ", \"pipelined\": ";
-    write_bool(out, s.pipelined);
-    out << ", \"overlap_seconds\": " << s.overlap_seconds
-        << ", \"speculative_samples_committed\": "
-        << s.speculative_samples_committed
-        << ", \"speculative_samples_discarded\": "
-        << s.speculative_samples_discarded;
     out << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";

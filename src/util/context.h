@@ -36,16 +36,6 @@ struct StageMetrics {
   std::uint64_t estimate_samples = 0;  // T drawn by the Estimate (0 = none)
   bool warm_start = false;             // solver resumed from previous stage
   bool accepted = false;               // stop-stage test passed here
-  // Pipelined-engine accounting (DESIGN.md §15; all zero on the serial
-  // schedule). `pipelined` marks a stage whose samples arrived via a
-  // committed speculative batch; `overlap_seconds` is the slice of that
-  // batch's generation hidden under the PREVIOUS stage's solve/estimate.
-  // Discards land on the row of the stage whose stop/deadline/cap exit
-  // invalidated the speculation.
-  bool pipelined = false;
-  double overlap_seconds = 0.0;
-  std::uint64_t speculative_samples_committed = 0;
-  std::uint64_t speculative_samples_discarded = 0;
 };
 
 /// Consumer of per-stage engine telemetry. Implementations must tolerate

@@ -89,6 +89,20 @@ const std::vector<GoldenPin>& golden_pins() {
   return pins;
 }
 
+/// The pinned UBG/MAF solver with its selection sweeps forced onto
+/// `workers`.
+std::unique_ptr<MaxrSolver> parallel_solver(MaxrAlgorithm algorithm,
+                                            ThreadPool& workers) {
+  GreedyOptions greedy;
+  greedy.parallel = true;
+  greedy.pool = &workers;
+  greedy.min_parallel_candidates = 1;  // force the parallel path
+  if (algorithm == MaxrAlgorithm::kUbg) {
+    return std::make_unique<UbgSolver>(greedy);
+  }
+  return std::make_unique<MafSolver>(MaxrSolverOptions{}.maf_seed, greedy);
+}
+
 TEST_F(ImcEngineTest, GoldenPinsMatchPreEngineDriver) {
   for (const GoldenPin& pin : golden_pins()) {
     const CommunitySet communities = make_communities(pin.h);
@@ -101,6 +115,45 @@ TEST_F(ImcEngineTest, GoldenPinsMatchPreEngineDriver) {
     EXPECT_EQ(result.samples_used, 6000U) << where;
     EXPECT_EQ(result.stop_stages, 3U) << where;
     EXPECT_EQ(result.c_hat, pin.c_hat) << where;
+  }
+}
+
+// The IMCAF pipeline (grow → select → stop rule) driven through ImcEngine
+// with a worker pool: the UBG/MAF pins must hold at every worker count,
+// with parallel sample growth on and off, and with the selection sweeps
+// forced onto the workers (serial ≡ parallel). BT and MB have no parallel
+// selection, and the pool they would see is the one these legs pin.
+class PipelineEngineTest : public ImcEngineTest {};
+
+TEST_F(PipelineEngineTest, GoldenPinsHoldAtEveryThreadCountOnAndOff) {
+  for (const GoldenPin& pin : golden_pins()) {
+    if (pin.algorithm != MaxrAlgorithm::kUbg &&
+        pin.algorithm != MaxrAlgorithm::kMaf) {
+      continue;
+    }
+    const CommunitySet communities = make_communities(pin.h);
+    for (const unsigned threads : {1U, 2U, 8U}) {
+      ThreadPool workers(threads);
+      ExecutionContext context;
+      context.workers = &workers;
+      for (const bool parallel_sampling : {true, false}) {
+        ImcafConfig config = pinned_config();
+        config.parallel_sampling = parallel_sampling;
+        ImcEngine engine(graph_, communities, config, context);
+        const ImcafResult result =
+            engine.solve(8, *parallel_solver(pin.algorithm, workers));
+        const std::string where =
+            "h=" + std::to_string(pin.h) + " " + to_string(pin.algorithm) +
+            " threads=" + std::to_string(threads) +
+            (parallel_sampling ? " parallel growth" : " serial growth");
+        EXPECT_EQ(result.seeds, pin.seeds) << where;
+        EXPECT_EQ(result.samples_used, 6000U) << where;
+        EXPECT_EQ(result.stop_stages, 3U) << where;
+        EXPECT_EQ(result.c_hat, pin.c_hat) << where;
+        EXPECT_EQ(engine.pool().grow_epoch(), (RicPool::PoolEpoch{6000, 3}))
+            << where;
+      }
+    }
   }
 }
 

@@ -2,8 +2,8 @@
 // bit-identical to rebuilding from scratch on the mutated graph/community
 // structures with the same seed — arenas, metadata, counters and the CSR
 // index alike — while regenerating only the affected samples. Also covers
-// the epoch bump (carrier/staging invalidation), the snapshot interplay
-// and ImcEngine::apply_delta end to end.
+// the epoch bump (carrier invalidation), the snapshot interplay and
+// ImcEngine::apply_delta end to end, including its strong guarantee.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -203,7 +203,7 @@ TEST(PoolRepair, RepairBumpsEpochEvenWhenNoSampleWasAffected) {
 
   // Inserting an edge into an untouched corner of the graph may repair
   // zero samples, but FUTURE samples could walk it: the epoch must bump so
-  // staged arenas and carriers cannot survive.
+  // carriers cannot survive.
   GraphDelta delta;
   delta.upsert_edge(2, 5, 0.0001);
   const DeltaEffects effects = apply_delta(graph, communities, delta);
@@ -218,28 +218,20 @@ TEST(PoolRepair, RepairBumpsEpochEvenWhenNoSampleWasAffected) {
   EXPECT_EQ(pool.samples_since(after), 0U);
 }
 
-TEST(PoolRepair, StagedArenaIsRejectedAfterRepair) {
+TEST(PoolRepair, RepairThenGrowMatchesRebuild) {
+  // Growth after a repair continues the rebuilt pool's substreams: the
+  // repaired prefix plus fresh samples equals one rebuild of the full size.
   Graph graph = make_graph(11, 60);
   CommunitySet communities = make_communities(60, 1);
   RicPool pool(graph, communities);
   pool.grow(200, kSeed, /*parallel=*/false);
 
-  PoolStagingArena staging;
-  pool.stage_samples(100, kSeed, /*parallel=*/false, nullptr, [] {
-    return false;
-  }, staging);
-  ASSERT_TRUE(staging.complete());
-
   GraphDelta delta;
   delta.upsert_edge(0, 59, 0.2);
   const DeltaEffects effects = apply_delta(graph, communities, delta);
   (void)pool.invalidate_and_repair(effects, kSeed, /*parallel=*/false);
-  EXPECT_FALSE(staging.epoch() == pool.grow_epoch());
-  EXPECT_THROW(pool.commit_staged(std::move(staging), /*parallel=*/false),
-               std::invalid_argument);
   EXPECT_EQ(pool.size(), 200U);
 
-  // Regrowing synchronously instead yields the rebuild-identical pool.
   pool.grow(100, kSeed, /*parallel=*/false);
   RicPool rebuilt(graph, communities);
   rebuilt.grow(300, kSeed, /*parallel=*/false);
@@ -382,6 +374,79 @@ TEST(PoolRepair, EngineApplyDeltaChecksIdentity) {
                std::invalid_argument);
   EXPECT_THROW((void)engine.apply_delta(graph, other_communities, delta),
                std::invalid_argument);
+}
+
+/// A rejected ImcEngine::apply_delta must leave everything as it was.
+void expect_rejected_untouched(ImcEngine& engine, Graph& graph,
+                               CommunitySet& communities,
+                               const GraphDelta& delta,
+                               const std::string& message) {
+  const std::uint64_t graph_before = graph.fingerprint();
+  const std::uint64_t communities_before = communities.fingerprint();
+  const std::uint64_t size_before = engine.pool().size();
+  const RicPool::PoolEpoch epoch_before = engine.pool().grow_epoch();
+  try {
+    (void)engine.apply_delta(graph, communities, delta);
+    ADD_FAILURE() << "batch was not rejected";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(message), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(graph.fingerprint(), graph_before);
+  EXPECT_EQ(communities.fingerprint(), communities_before);
+  EXPECT_EQ(engine.pool().size(), size_before);
+  EXPECT_EQ(engine.pool().grow_epoch(), epoch_before);
+}
+
+TEST(PoolRepair, EngineRejectsOverfullCommunityUntouched) {
+  // Community 0 sits at the 64-member mask width; one more move overfills
+  // it. The last move of the batch is the bad one, so the earlier moves
+  // must not be applied either.
+  Graph graph = make_graph(9, 80);
+  std::vector<NodeId> full(64);
+  std::vector<NodeId> rest(16);
+  for (NodeId v = 0; v < 64; ++v) full[v] = v;
+  for (NodeId v = 0; v < 16; ++v) rest[v] = 64 + v;
+  CommunitySet communities(80, {full, rest});
+  apply_constant_thresholds(communities, 1);
+  apply_population_benefits(communities);
+  ImcafConfig config;
+  config.max_samples = 500;
+  config.seed = kSeed;
+  config.parallel_sampling = false;
+  ImcEngine engine(graph, communities, config);
+  (void)engine.solve(4, UbgSolver());
+
+  GraphDelta delta;
+  delta.upsert_edge(70, 3, 0.3).move_member(5, 1).move_member(64, 0)
+      .move_member(65, 0);
+  expect_rejected_untouched(engine, graph, communities, delta,
+                            "grows community 0 to 65 members");
+
+  // The engine is still usable: a valid batch repairs as usual.
+  GraphDelta valid;
+  valid.move_member(5, 1);
+  (void)engine.apply_delta(graph, communities, valid);
+  RicPool rebuilt(graph, communities);
+  rebuilt.grow(engine.pool().size(), kSeed, /*parallel=*/false);
+  expect_same_pool(engine.pool(), rebuilt);
+}
+
+TEST(PoolRepair, EngineRejectsLtOverweightUntouched) {
+  Graph graph = test::cycle_graph(6, 0.8);
+  CommunitySet communities(6, {{0, 1, 2}, {3, 4, 5}});
+  ImcafConfig config;
+  config.model = DiffusionModel::kLinearThreshold;
+  config.max_samples = 200;
+  config.seed = kSeed;
+  config.parallel_sampling = false;
+  ImcEngine engine(graph, communities, config);
+  (void)engine.solve(2, UbgSolver());
+
+  GraphDelta delta;
+  delta.move_member(2, 1).upsert_edge(4, 5, 0.1).upsert_edge(3, 1, 0.9);
+  expect_rejected_untouched(engine, graph, communities, delta,
+                            "weights of node 1 past 1");
 }
 
 }  // namespace

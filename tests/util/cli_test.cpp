@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 namespace imc {
 namespace {
@@ -52,6 +54,34 @@ TEST(ArgParser, FlagFollowedByOption) {
   const auto args = parse({"prog", "--flag", "--k=2"});
   EXPECT_TRUE(args.get_bool("flag", false));
   EXPECT_EQ(args.get_int("k", 0), 2);
+}
+
+TEST(ArgParser, MalformedValuesAreUsageErrorsNamingFlagAndValue) {
+  const auto args = parse({"prog", "--k", "abc", "--n=12x", "--eps=0.5.1",
+                           "--on=maybe"});
+  const auto message = [&](auto&& get) -> std::string {
+    try {
+      get();
+    } catch (const UsageError& error) {
+      return error.what();
+    }
+    return "no UsageError";
+  };
+  EXPECT_EQ(message([&] { (void)args.get_int("k", 0); }),
+            "--k expects an integer, got 'abc'");
+  EXPECT_EQ(message([&] { (void)args.get_int("n", 0); }),
+            "--n expects an integer, got '12x'");
+  EXPECT_EQ(message([&] { (void)args.get_double("eps", 0.0); }),
+            "--eps expects a number, got '0.5.1'");
+  EXPECT_EQ(message([&] { (void)args.get_bool("on", false); }),
+            "--on expects a boolean, got 'maybe'");
+}
+
+TEST(ArgParser, ParsesSignedAndFractionalValues) {
+  const auto args = parse({"prog", "--k", "-1", "--eps=.25"});
+  EXPECT_EQ(args.get_int("k", 0), -1);
+  EXPECT_DOUBLE_EQ(args.get_double("eps", 0.0), 0.25);
+  EXPECT_EQ(args.names(), (std::vector<std::string>{"eps", "k"}));
 }
 
 TEST(EnvHelpers, ReadAndFallback) {

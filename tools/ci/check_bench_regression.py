@@ -12,7 +12,7 @@ extend it when a new serial hot path gets a benchmark, prune it if a
 benchmark is retired (an allowlisted name missing from either file is an
 error, so renames cannot silently drop coverage).
 
-The end-to-end pipeline sweep (``BM_ImcafEndToEnd/{warm}/{threads}``) is
+The end-to-end sweep (``BM_ImcafEndToEnd/{warm}/{threads}``) is
 gated on *shape* instead: every row in COUNTER_CHECKS must be present in
 the fresh run and carry every listed counter. That catches a sweep arg
 being dropped or a counter silently vanishing from the reporter without
@@ -54,20 +54,16 @@ ALLOWLIST = [
     "BM_Louvain",
 ]
 
-# Counters every end-to-end Alg. 5 row must report. The serial-schedule
-# rows (threads == 0) and the pipelined rows share one schema so a diff
-# of BENCH_micro.json always lines up column-for-column.
+# Counters every end-to-end Alg. 5 row must report. The serial rows
+# (threads == 0) and the parallel rows share one schema so a diff of
+# BENCH_micro.json always lines up column-for-column.
 _E2E_COUNTERS = [
     "items_per_second",
     "sampling_seconds",
     "solver_seconds",
     "estimate_seconds",
-    "overlap_seconds",
-    "speculative_samples_committed",
-    "speculative_samples_discarded",
     "stop_stages",
     "warm_start",
-    "pipeline",
     "threads",
 ]
 

@@ -21,10 +21,10 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # printing a report; second_deadlock_stack improves lock-order diagnostics.
 # The engine label rides along: warm-start resume and solve_many exercise
 # the thread pool through the same deterministic-parallel sweeps, and the
-# pipelined-engine tests (both labels carry pipeline_engine_test.cpp) drive
-# the staging-commit handoff — background stage_samples overlapping const
-# pool readers, then the boundary join + commit_staged — which is exactly
-# the surface TSan must prove clean. The delta label rides along because
+# engine golden pins (both labels carry engine_test.cpp) run parallel
+# growth and parallel selection at 1, 2 and 8 workers — the engine's whole
+# concurrent surface, since its stages themselves run one after another
+# (DESIGN.md §15). The delta label rides along because
 # invalidate_and_repair fans regeneration chunks out over the same thread
 # pool and then merges them into one CSR index rebuild (DESIGN.md §16).
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \

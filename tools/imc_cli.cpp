@@ -8,7 +8,7 @@
 //                       [--k K] [--max-samples N] [--model ic|lt]
 //                       [--parallel] [--threads N] [--time-budget-s S]
 //                       [--metrics-json FILE] [--no-warm-start]
-//                       [--no-pipeline] [--pool-backend ram|mmap]
+//                       [--pool-backend ram|mmap]
 //                       [--save-pool FILE]
 //                       [--load-pool FILE [--trust-pool]]
 //                       [--apply-deltas FILE]
@@ -19,10 +19,14 @@
 //
 // Graphs come either from the synthetic Table-I stand-ins (--dataset) or a
 // SNAP edge-list file (--graph; weighted-cascade IC probabilities applied).
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "imc/imc.h"
@@ -31,13 +35,37 @@ namespace {
 
 using namespace imc;
 
-/// Argument mistakes the CLI can diagnose up front (bad values, flags that
-/// do not apply to the subcommand). main() prints the message plus the
-/// usage text and exits 2, distinguishing operator error from runtime
-/// failures (exit 1).
-struct UsageError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
+/// Every flag some subcommand reads. Anything else is a UsageError — a
+/// typo, or a flag that no longer exists — instead of being ignored.
+constexpr std::string_view kKnownFlags[] = {
+    "algo", "apply-deltas", "communities", "dataset", "graph", "k",
+    "load-pool", "max-samples", "method", "metrics-json", "model",
+    "no-warm-start", "parallel", "parallel-sampling", "pool-backend",
+    "regime", "save", "save-pool", "scale", "seed", "seeds", "simulations",
+    "size-cap", "threads", "threshold", "threshold-fraction",
+    "time-budget-s", "trust-pool", "undirected"};
+
+/// Flags only `solve` reads.
+constexpr std::string_view kSolveOnlyFlags[] = {
+    "time-budget-s", "metrics-json", "no-warm-start", "pool-backend",
+    "save-pool", "load-pool", "trust-pool", "apply-deltas"};
+
+/// A non-negative count flag (k, sample caps, thread and simulation
+/// counts): a negative or oversized value is a UsageError, never a
+/// silent wrap through an unsigned cast.
+std::uint64_t get_count(const ArgParser& args, const std::string& name,
+                        std::uint64_t fallback,
+                        std::uint64_t max = std::numeric_limits<
+                            std::uint32_t>::max()) {
+  const std::int64_t value =
+      args.get_int(name, static_cast<std::int64_t>(fallback));
+  if (value < 0 || static_cast<std::uint64_t>(value) > max) {
+    throw UsageError("--" + name + " expects a count in [0, " +
+                     std::to_string(max) + "], got '" +
+                     args.get_string(name, "") + "'");
+  }
+  return static_cast<std::uint64_t>(value);
+}
 
 Graph load_graph(const ArgParser& args) {
   if (args.has("graph")) {
@@ -74,8 +102,7 @@ CommunitySet load_communities(const ArgParser& args, const Graph& graph) {
   } else {
     throw std::invalid_argument("unknown --method " + method);
   }
-  config.size_cap =
-      static_cast<NodeId>(args.get_int("size-cap", 8));
+  config.size_cap = static_cast<NodeId>(get_count(args, "size-cap", 8));
   const std::string regime = args.get_string("regime", "regular");
   if (regime == "regular") {
     config.regime = ThresholdRegime::kFractionOfPopulation;
@@ -178,10 +205,7 @@ int cmd_communities(const ArgParser& args) {
 }
 
 int cmd_solve(const ArgParser& args) {
-  // Mutable: --apply-deltas streams GraphDelta batches into them.
-  Graph graph = load_graph(args);
-  CommunitySet communities = load_communities(args, graph);
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 10));
+  const auto k = static_cast<std::uint32_t>(get_count(args, "k", 10));
 
   const std::string algo = args.get_string("algo", "ubg");
   MaxrAlgorithm algorithm;
@@ -201,13 +225,12 @@ int cmd_solve(const ArgParser& args) {
   const auto solver = make_maxr_solver(algorithm, solver_options);
 
   ImcafConfig config;
-  config.max_samples = static_cast<std::uint64_t>(
-      args.get_int("max-samples", 20000));
+  config.max_samples = get_count(args, "max-samples", 20000,
+                                 std::numeric_limits<std::int64_t>::max());
   config.model = load_model(args);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
   config.parallel_sampling = args.get_bool("parallel-sampling", true);
   config.warm_start = !args.get_bool("no-warm-start", false);
-  config.pipeline = !args.get_bool("no-pipeline", false);
   const std::string backend = args.get_string("pool-backend", "ram");
   if (backend == "ram") {
     config.pool_backend = ArenaBackend::kRam;
@@ -225,6 +248,25 @@ int cmd_solve(const ArgParser& args) {
   if (args.has("metrics-json") && metrics_path.empty()) {
     throw UsageError("--metrics-json requires a file path");
   }
+  const std::string load_path = args.get_string("load-pool", "");
+  if (args.has("load-pool") && load_path.empty()) {
+    throw UsageError("--load-pool requires a path");
+  }
+  if (args.has("trust-pool") && !args.has("load-pool")) {
+    throw UsageError("--trust-pool only applies with --load-pool");
+  }
+  const std::string save_path = args.get_string("save-pool", "");
+  if (args.has("save-pool") && save_path.empty()) {
+    throw UsageError("--save-pool requires a path");
+  }
+  const std::string delta_path = args.get_string("apply-deltas", "");
+  if (args.has("apply-deltas") && delta_path.empty()) {
+    throw UsageError("--apply-deltas requires a file path");
+  }
+
+  // Mutable: --apply-deltas streams GraphDelta batches into them.
+  Graph graph = load_graph(args);
+  CommunitySet communities = load_communities(args, graph);
 
   RecordingMetricsSink metrics;
   ExecutionContext context;
@@ -235,16 +277,11 @@ int cmd_solve(const ArgParser& args) {
   if (!metrics_path.empty()) context.metrics = &metrics;
 
   ImcEngine engine(graph, communities, config, context);
-  if (args.has("trust-pool") && !args.has("load-pool")) {
-    throw UsageError("--trust-pool only applies with --load-pool");
-  }
-  if (args.has("load-pool")) {
-    const std::string pool_path = args.get_string("load-pool", "");
-    if (pool_path.empty()) throw UsageError("--load-pool requires a path");
-    engine.attach_pool(pool_path, args.get_bool("trust-pool", false)
+  if (!load_path.empty()) {
+    engine.attach_pool(load_path, args.get_bool("trust-pool", false)
                                       ? SnapshotTrust::kTrustPayload
                                       : SnapshotTrust::kVerifyPayload);
-    std::cout << "attached pool " << pool_path << " (|R|="
+    std::cout << "attached pool " << load_path << " (|R|="
               << engine.pool().size() << ")\n";
   }
   ImcafResult result = engine.solve(k, *solver);
@@ -253,11 +290,7 @@ int cmd_solve(const ArgParser& args) {
   // in the file is applied as one GraphDelta — the shared pool is repaired
   // in place, then the query re-solves on the mutated instance. The final
   // printed result (and any --save-pool snapshot) reflects the last state.
-  if (args.has("apply-deltas")) {
-    const std::string delta_path = args.get_string("apply-deltas", "");
-    if (delta_path.empty()) {
-      throw UsageError("--apply-deltas requires a file path");
-    }
+  if (!delta_path.empty()) {
     std::ifstream in(delta_path);
     if (!in) {
       throw std::runtime_error("cannot open --apply-deltas file " +
@@ -283,11 +316,9 @@ int cmd_solve(const ArgParser& args) {
     }
   }
 
-  if (args.has("save-pool")) {
-    const std::string pool_path = args.get_string("save-pool", "");
-    if (pool_path.empty()) throw UsageError("--save-pool requires a path");
-    save_ric_pool_snapshot(pool_path, engine.pool());
-    std::cout << "pool snapshot written to " << pool_path << " (|R|="
+  if (!save_path.empty()) {
+    save_ric_pool_snapshot(save_path, engine.pool());
+    std::cout << "pool snapshot written to " << save_path << " (|R|="
               << engine.pool().size() << ")\n";
   }
 
@@ -319,9 +350,9 @@ int cmd_solve(const ArgParser& args) {
 }
 
 int cmd_baseline(const ArgParser& args) {
+  const auto k = static_cast<std::uint32_t>(get_count(args, "k", 10));
   const Graph graph = load_graph(args);
   const CommunitySet communities = load_communities(args, graph);
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 10));
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 7)));
 
   const std::string algo = args.get_string("algo", "hbc");
@@ -353,15 +384,14 @@ int cmd_baseline(const ArgParser& args) {
 }
 
 int cmd_simulate(const ArgParser& args) {
-  const Graph graph = load_graph(args);
-  const CommunitySet communities = load_communities(args, graph);
+  MonteCarloOptions mc;
+  mc.simulations =
+      static_cast<std::uint32_t>(get_count(args, "simulations", 10000));
+  mc.model = load_model(args);
   const std::vector<NodeId> seeds =
       parse_seed_list(args.get_string("seeds", "0"));
-
-  MonteCarloOptions mc;
-  mc.simulations = static_cast<std::uint32_t>(
-      args.get_int("simulations", 10000));
-  mc.model = load_model(args);
+  const Graph graph = load_graph(args);
+  const CommunitySet communities = load_communities(args, graph);
   std::cout << "seeds: " << seeds.size() << "\n"
             << "expected spread:  "
             << mc_expected_spread(graph, seeds, mc) << "\n"
@@ -394,12 +424,9 @@ void print_usage() {
       "  --metrics-json F    write per-stage engine telemetry as JSON to F\n"
       "  --no-warm-start     cold MAXR solve every doubling stage\n"
       "                      (results are bit-identical; for benchmarking)\n"
-      "  --no-pipeline       serial grow/solve/estimate schedule instead of\n"
-      "                      overlapping the next stage's sampling with the\n"
-      "                      solve (results are bit-identical either way)\n"
       "  --pool-backend B    ram (default) or mmap arena storage for the\n"
       "                      RIC pool (bit-identical content either way)\n"
-      "  --save-pool F       write the final pool as a binary v2 snapshot\n"
+      "  --save-pool F       write the final pool as a binary v3 snapshot\n"
       "  --load-pool F       start from a saved pool (binary snapshots are\n"
       "                      attached zero-copy via mmap and fully verified\n"
       "                      by default; text v1 accepted)\n"
@@ -423,19 +450,17 @@ int main(int argc, char** argv) {
   }
   const std::string& command = args.positional().front();
   try {
-    if (command != "solve") {
-      for (const char* flag : {"time-budget-s", "metrics-json",
-                               "no-warm-start", "no-pipeline", "pool-backend",
-                               "save-pool", "load-pool", "trust-pool",
-                               "apply-deltas"}) {
-        if (args.has(flag)) {
-          throw UsageError(std::string("--") + flag +
-                           " only applies to the solve subcommand");
-        }
+    for (const std::string& flag : args.names()) {
+      const auto is = [&flag](std::string_view known) { return known == flag; };
+      if (std::ranges::none_of(kKnownFlags, is)) {
+        throw UsageError("unknown flag --" + flag);
+      }
+      if (command != "solve" && std::ranges::any_of(kSolveOnlyFlags, is)) {
+        throw UsageError("--" + flag + " only applies to the solve subcommand");
       }
     }
     // Size the shared pool before anything touches it.
-    const auto threads = args.get_int("threads", 0);
+    const std::uint64_t threads = get_count(args, "threads", 0);
     if (threads > 0) {
       set_default_pool_threads(static_cast<unsigned>(threads));
     }
