@@ -35,10 +35,9 @@ struct ImcafConfig {
   /// MaxrSolver::resume. Results are BIT-IDENTICAL either way (the resume
   /// contract); off exists for benchmarking the cold baseline.
   bool warm_start = true;
-  /// Storage backend for the RIC pool arenas: kRam (aligned heap) or kMmap
-  /// (anonymous mappings grown via mremap — the kernel can lazily back and
-  /// swap them). Pool CONTENT is bit-identical either way; the golden
-  /// determinism pins hold under both.
+  /// Ignored: pool arenas always live in heap slabs (DESIGN.md §13). Kept
+  /// only so existing callers that still name it compile; the next
+  /// benchmark change removes it.
   ArenaBackend pool_backend = ArenaBackend::kRam;
   /// Ignored: the engine runs one serial stage schedule (DESIGN.md §15).
   /// Kept only so existing callers that still set it compile; the next

@@ -132,6 +132,9 @@ std::vector<GraphDelta> parse_delta_stream(const std::string& text) {
           target < 0) {
         fail("expected 'E <source> <target> <weight>'");
       }
+      if (source >= kInvalidNode || target >= kInvalidNode) {
+        fail("node id out of range");
+      }
       reject_trailing();
       current.upsert_edge(static_cast<NodeId>(source),
                           static_cast<NodeId>(target), weight);
@@ -140,6 +143,9 @@ std::vector<GraphDelta> parse_delta_stream(const std::string& text) {
       std::int64_t community = -1;
       if (!(fields >> node >> community) || node < 0 || community < 0) {
         fail("expected 'M <node> <community>'");
+      }
+      if (node >= kInvalidNode || community >= kInvalidCommunity) {
+        fail("node or community id out of range");
       }
       reject_trailing();
       current.move_member(static_cast<NodeId>(node),

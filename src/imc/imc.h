@@ -51,7 +51,6 @@
 #include "diffusion/monte_carlo.h"
 
 // sampling
-#include "sampling/pool_io.h"
 #include "sampling/pool_snapshot.h"
 #include "sampling/ric_pool.h"
 #include "sampling/ric_sample.h"

@@ -1,16 +1,15 @@
 #include "sampling/pool_snapshot.h"
 
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <limits>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
 
-#include "sampling/pool_io.h"
 #include "util/mathx.h"
 
 namespace imc {
@@ -146,8 +145,8 @@ PoolSnapshotHeader make_header(const RicPool& pool,
   return header;
 }
 
-/// Shared header validation for both loaders: everything that can be
-/// checked without touching the arena payload.
+/// Header validation: everything that can be checked without touching
+/// the arena payload.
 void validate_header(const PoolSnapshotHeader& header, const Graph& graph,
                      const CommunitySet& communities) {
   if (std::memcmp(header.magic, kPoolSnapshotMagic, sizeof(header.magic)) !=
@@ -199,8 +198,12 @@ void validate_header(const PoolSnapshotHeader& header, const Graph& graph,
   }
 }
 
-/// Deep per-sample validation for untrusted snapshots (streamed loads and
-/// the default verifying attach; SnapshotTrust::kTrustPayload skips it).
+/// Deep per-sample validation for untrusted snapshots (the default
+/// verifying attach; SnapshotTrust::kTrustPayload skips it). Besides
+/// ranges, it enforces the invariants RicPool's readers rely on: every
+/// member mask is non-empty and within the community population, and the
+/// touching nodes of a sample are strictly ascending (so no duplicates) —
+/// the order sample() and the CSR merge assume.
 ///
 /// Both offset tables get a full endpoints + monotonicity pass BEFORE any
 /// offset is used to index its arena: front == 0, back == arena size and
@@ -244,6 +247,13 @@ void validate_payload(const RicPool::PoolArenas& arenas,
       if (pairs[i].first >= graph.node_count()) {
         fail("sample " + std::to_string(g) + ": touching node out of range");
       }
+      if (i > offsets[g] && pairs[i - 1].first >= pairs[i].first) {
+        fail("sample " + std::to_string(g) +
+             ": touching nodes not strictly ascending");
+      }
+      if (pairs[i].second == 0) {
+        fail("sample " + std::to_string(g) + ": empty member mask");
+      }
       if ((pairs[i].second & ~full) != 0) {
         fail("sample " + std::to_string(g) +
              ": member mask wider than the community population");
@@ -280,42 +290,18 @@ void validate_payload(const RicPool::PoolArenas& arenas,
   }
 }
 
-/// Reads one section into an owned ArenaVector and folds its raw bytes
-/// into the running checksum, then skips the alignment padding.
-template <typename T>
-ArenaVector<T> read_section(std::istream& in, const SectionLayout& section,
-                            ArenaBackend backend, Fnv1a64& digest) {
-  ArenaVector<T> arena(backend);
-  const std::size_t count = section.bytes / sizeof(T);
-  arena.resize(count);
-  if (count > 0) {
-    in.read(reinterpret_cast<char*>(arena.data()),
-            static_cast<std::streamsize>(section.bytes));
-    if (!in) fail("truncated arena section");
-    digest.add_bytes(arena.data(), section.bytes);
-  }
-  const std::size_t pad = section.padded - section.bytes;
-  if (pad > 0) {
-    in.ignore(static_cast<std::streamsize>(pad));
-    if (!in) fail("truncated arena section");
-  }
-  return arena;
-}
-
 /// Borrowed zero-copy view of one section inside the mapped snapshot;
-/// the first mutation materializes into `materialize_backend` storage.
+/// the first mutation materializes it into an owned heap slab.
 template <typename T>
 ArenaVector<T> borrow_section(const std::shared_ptr<const MmapStorage>& map,
-                              const SectionLayout& section,
-                              ArenaBackend materialize_backend) {
+                              const SectionLayout& section) {
   const auto* base =
       reinterpret_cast<const T*>(map->data() + section.offset);
-  return ArenaVector<T>::borrowed(base, section.bytes / sizeof(T), map,
-                                  materialize_backend);
+  return ArenaVector<T>::borrowed(base, section.bytes / sizeof(T), map);
 }
 
 /// FNV-1a over the raw (unpadded) section bytes of a mapped snapshot —
-/// the attach-path twin of the streamed loader's incremental digest.
+/// the reader's twin of the writer's payload_checksum().
 std::uint64_t mapped_checksum(const MmapStorage& map,
                               const SnapshotLayout& layout) {
   Fnv1a64 digest;
@@ -353,76 +339,35 @@ void write_ric_pool_snapshot(std::ostream& out, const RicPool& pool) {
 }
 
 void save_ric_pool_snapshot(const std::string& path, const RicPool& pool) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail("cannot open " + path);
-  write_ric_pool_snapshot(out, pool);
-  out.flush();
-  if (!out) fail("write failed for " + path);
-  out.close();
-  if (out.fail()) fail("close failed for " + path);
-}
-
-RicPool read_ric_pool_snapshot(std::istream& in, const Graph& graph,
-                               const CommunitySet& communities,
-                               ArenaBackend backend) {
-  char header_block[kHeaderBytes] = {};
-  in.read(header_block, kHeaderBytes);
-  if (!in) fail("truncated header");
-  PoolSnapshotHeader header;
-  std::memcpy(&header, header_block, sizeof(header));
-  validate_header(header, graph, communities);
-
-  const SnapshotLayout layout = SnapshotLayout::from_counts(
-      header.node_count, header.community_count, header.sample_count,
-      header.sample_pair_count, header.csr_touch_count);
-
-  Fnv1a64 digest;
-  RicPool::PoolArenas arenas;
-  arenas.thresholds = read_section<std::uint32_t>(in, layout.sections[0],
-                                                  backend, digest);
-  arenas.source_community = read_section<CommunityId>(in, layout.sections[1],
-                                                      backend, digest);
-  arenas.community_frequency = read_section<std::uint32_t>(
-      in, layout.sections[2], backend, digest);
-  arenas.sample_offsets = read_section<std::uint64_t>(in, layout.sections[3],
-                                                      backend, digest);
-  arenas.sample_arena = read_section<std::pair<NodeId, std::uint64_t>>(
-      in, layout.sections[4], backend, digest);
-  arenas.touch_offsets = read_section<std::uint64_t>(in, layout.sections[5],
-                                                     backend, digest);
-  arenas.touches = read_section<RicPool::Touch>(in, layout.sections[6],
-                                                backend, digest);
-  if (digest.value() != header.payload_checksum) {
-    fail("payload checksum mismatch (corrupt snapshot)");
+  // Written beside `path` and renamed over it: `pool` may be attached to
+  // `path` itself, and truncating that file would pull its mapped arenas
+  // out from under the write.
+  const std::string temp = path + ".tmp";
+  {
+    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+    if (!out) fail("cannot open " + temp);
+    try {
+      write_ric_pool_snapshot(out, pool);
+    } catch (...) {
+      std::remove(temp.c_str());
+      throw;
+    }
+    out.flush();
+    out.close();
+    if (out.fail()) {
+      std::remove(temp.c_str());
+      fail("write failed for " + temp);
+    }
   }
-  if (in.peek() != std::istream::traits_type::eof()) {
-    fail("trailing bytes after the last arena section");
+  if (std::rename(temp.c_str(), path.c_str()) != 0) {
+    std::remove(temp.c_str());
+    fail("cannot rename " + temp + " to " + path);
   }
-  validate_payload(arenas, graph, communities);
-
-  try {
-    return RicPool::restore_snapshot(
-        graph, communities, static_cast<DiffusionModel>(header.model),
-        RicPool::PoolEpoch{header.epoch_samples, header.epoch_grows,
-                           header.epoch_repairs},
-        std::move(arenas));
-  } catch (const std::invalid_argument& error) {
-    fail(error.what());
-  }
-}
-
-RicPool load_ric_pool_snapshot(const std::string& path, const Graph& graph,
-                               const CommunitySet& communities,
-                               ArenaBackend backend) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail("cannot open " + path);
-  return read_ric_pool_snapshot(in, graph, communities, backend);
 }
 
 RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
                                  const CommunitySet& communities,
-                                 SnapshotTrust trust,
-                                 ArenaBackend materialize_backend) {
+                                 SnapshotTrust trust) {
   auto map = std::make_shared<const MmapStorage>(
       MmapStorage::open_readonly(path));
   if (map->size() < kHeaderBytes) fail("truncated header");
@@ -438,20 +383,18 @@ RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
       header.sample_pair_count, header.csr_touch_count);
 
   RicPool::PoolArenas arenas;
-  arenas.thresholds = borrow_section<std::uint32_t>(map, layout.sections[0],
-                                                    materialize_backend);
-  arenas.source_community = borrow_section<CommunityId>(
-      map, layout.sections[1], materialize_backend);
-  arenas.community_frequency = borrow_section<std::uint32_t>(
-      map, layout.sections[2], materialize_backend);
-  arenas.sample_offsets = borrow_section<std::uint64_t>(
-      map, layout.sections[3], materialize_backend);
+  arenas.thresholds = borrow_section<std::uint32_t>(map, layout.sections[0]);
+  arenas.source_community =
+      borrow_section<CommunityId>(map, layout.sections[1]);
+  arenas.community_frequency =
+      borrow_section<std::uint32_t>(map, layout.sections[2]);
+  arenas.sample_offsets =
+      borrow_section<std::uint64_t>(map, layout.sections[3]);
   arenas.sample_arena = borrow_section<std::pair<NodeId, std::uint64_t>>(
-      map, layout.sections[4], materialize_backend);
-  arenas.touch_offsets = borrow_section<std::uint64_t>(
-      map, layout.sections[5], materialize_backend);
-  arenas.touches = borrow_section<RicPool::Touch>(map, layout.sections[6],
-                                                  materialize_backend);
+      map, layout.sections[4]);
+  arenas.touch_offsets =
+      borrow_section<std::uint64_t>(map, layout.sections[5]);
+  arenas.touches = borrow_section<RicPool::Touch>(map, layout.sections[6]);
 
   if (trust == SnapshotTrust::kVerifyPayload) {
     if (mapped_checksum(*map, layout) != header.payload_checksum) {
@@ -469,25 +412,6 @@ RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
   } catch (const std::invalid_argument& error) {
     fail(error.what());
   }
-}
-
-bool is_pool_snapshot_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[sizeof(kPoolSnapshotMagic)] = {};
-  in.read(magic, sizeof(magic));
-  return in &&
-         std::memcmp(magic, kPoolSnapshotMagic, sizeof(magic)) == 0;
-}
-
-RicPool load_ric_pool_any(const std::string& path, const Graph& graph,
-                          const CommunitySet& communities,
-                          ArenaBackend backend, SnapshotTrust trust) {
-  if (is_pool_snapshot_file(path)) {
-    return attach_ric_pool_snapshot(path, graph, communities, trust,
-                                    backend);
-  }
-  return load_ric_pool(path, graph, communities, backend);
 }
 
 }  // namespace imc

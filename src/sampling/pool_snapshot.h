@@ -1,15 +1,13 @@
-// Binary RIC-pool snapshot, format v3 — the persisted pool IS the live
-// pool (DESIGN.md §13). (v3 extends the v2 layout with the epoch's
-// repairs counter and a header checksum; the magic string is unchanged.)
+// Binary RIC-pool snapshot, format v3 — the pool's one file format; the
+// persisted pool IS the live pool (DESIGN.md §13). (v3 extends the v2
+// layout with the epoch's repairs counter and a header checksum; the magic
+// string is unchanged.)
 //
-// The text format (pool_io.h) re-parses and re-appends every sample:
-// O(pool) work and allocations before the first query can run. The binary
-// snapshot instead persists the pool's flat arenas verbatim — SoA
-// metadata, sample-major twin, community counters AND the CSR inverted
-// index — so a reload is either one sequential read (streamed) or, with
-// `attach_ric_pool_snapshot`, a single mmap whose cost is independent of
-// pool size: the arenas are served zero-copy straight out of the page
-// cache and a restart resumes warm-started solves in milliseconds.
+// The snapshot persists the pool's flat arenas verbatim — SoA metadata,
+// sample-major twin, community counters AND the CSR inverted index — so
+// the one loader, `attach_ric_pool_snapshot`, is a single mmap: the arenas
+// are served zero-copy straight out of the page cache and a restart
+// resumes warm-started solves without re-sampling or re-indexing.
 //
 // Layout (all integers little-endian, host-width as noted):
 //
@@ -33,13 +31,14 @@
 //                7. touches             {u32 sample, u32 threshold,
 //                                        u64 mask} × csr touches (16 B)
 //
-// Validation contract: BOTH loaders check magic, version, RNG contract,
-// counts against the supplied graph/communities, the epoch watermark and
-// the two fingerprints. By DEFAULT both also verify the payload checksum
-// and every per-sample invariant (community ids, thresholds, masks,
-// offset monotonicity/endpoints, touch ordering) — snapshots are treated
-// as untrusted input unless the caller says otherwise. The mmap attach
-// can skip the O(pool) deep checks with SnapshotTrust::kTrustPayload so
+// Validation contract: the attach always checks magic, version, RNG
+// contract, counts against the supplied graph/communities, the epoch
+// watermark, the two fingerprints and the file size. By DEFAULT it also
+// verifies the payload checksum and every per-sample invariant (community
+// ids, thresholds, node ids, masks, offset monotonicity/endpoints, node
+// order within a sample, touch ordering) — snapshots are treated as
+// untrusted input unless the caller says otherwise. The attach can skip
+// the O(pool) deep checks with SnapshotTrust::kTrustPayload so
 // attach time stays flat in pool size; that is an explicit opt-in for
 // snapshots this host wrote, guarded by the fingerprints (see DESIGN.md
 // §13 for the trust model). Even a trusted attach cannot produce
@@ -50,9 +49,9 @@
 //
 // Ownership: an attached pool pins the file mapping via shared keepalives
 // inside its borrowed arenas; the mapping unmaps when the last arena (or
-// the pool holding them) dies. The first grow()/append() after an attach
-// copy-on-write-materializes the arenas, after which the file is no
-// longer referenced.
+// the pool holding them) dies. The first grow() or repair after an attach
+// copy-on-write-materializes the arenas into heap slabs, after which the
+// file is no longer referenced.
 #pragma once
 
 #include <cstdint>
@@ -93,11 +92,11 @@ static_assert(sizeof(PoolSnapshotHeader) == 128,
               "header must fill its reserved 128 bytes exactly (the header "
               "checksum covers the 120 bytes before itself)");
 
-/// How much of a snapshot's payload the attach paths verify before
+/// How much of a snapshot's payload the attach verifies before
 /// serving it. Header, counts, epoch and fingerprints are always checked.
 enum class SnapshotTrust {
   /// Default: verify the payload checksum and every per-sample invariant
-  /// (one sequential O(pool) pass; still zero-copy on the attach path).
+  /// (one sequential O(pool) pass over the mapping; still zero-copy).
   kVerifyPayload,
   /// Explicit opt-in for snapshots this host wrote: skip the O(pool)
   /// payload pass so attach cost stays independent of pool size. The
@@ -106,30 +105,18 @@ enum class SnapshotTrust {
   kTrustPayload,
 };
 
-/// Writes the v3 snapshot. The pool's pending index merge (if any) is
-/// materialized first so the CSR sections are current.
+/// Writes the v3 snapshot.
 void write_ric_pool_snapshot(std::ostream& out, const RicPool& pool);
 
 /// Saves to a file; throws std::runtime_error on I/O failure (the stream
-/// is flushed and close-checked before success is reported).
+/// is flushed and close-checked before success is reported). The file is
+/// written beside `path` and renamed over it, so a pool attached to
+/// `path` can be saved back to it.
 void save_ric_pool_snapshot(const std::string& path, const RicPool& pool);
 
-/// Streamed load with FULL validation (checksum + per-sample invariants).
-/// Arenas are owned copies in `backend` storage. Throws std::runtime_error
-/// on malformed/corrupt input or graph/community mismatch.
-[[nodiscard]] RicPool read_ric_pool_snapshot(
-    std::istream& in, const Graph& graph, const CommunitySet& communities,
-    ArenaBackend backend = ArenaBackend::kRam);
-
-/// Convenience file wrapper around read_ric_pool_snapshot.
-[[nodiscard]] RicPool load_ric_pool_snapshot(
-    const std::string& path, const Graph& graph,
-    const CommunitySet& communities,
-    ArenaBackend backend = ArenaBackend::kRam);
-
 /// Zero-copy attach: mmaps the snapshot and serves the arenas in place —
-/// no arena copy happens until the pool is grown, and growth materializes
-/// into `materialize_backend` storage. With the default kVerifyPayload
+/// no arena copy happens until the pool is grown or repaired, which
+/// materializes the arenas into heap slabs. With the default kVerifyPayload
 /// the checksum and per-sample invariants are verified in one sequential
 /// pass over the mapping; kTrustPayload skips that pass so attach cost is
 /// O(offset tables), independent of the arena payload. Throws
@@ -137,24 +124,6 @@ void save_ric_pool_snapshot(const std::string& path, const RicPool& pool);
 [[nodiscard]] RicPool attach_ric_pool_snapshot(
     const std::string& path, const Graph& graph,
     const CommunitySet& communities,
-    SnapshotTrust trust = SnapshotTrust::kVerifyPayload,
-    ArenaBackend materialize_backend = ArenaBackend::kMmap);
-
-/// True when `path` starts with the snapshot magic (a cheap sniff for
-/// format dispatch; false for unreadable files).
-[[nodiscard]] bool is_pool_snapshot_file(const std::string& path);
-
-/// Format-dispatching load: binary snapshots are ATTACHED zero-copy (with
-/// `trust` forwarded — payload-verifying by default), anything else goes
-/// through the text v1 loader. `backend` is where the loaded pool's owned
-/// arenas live (text path) or where an attached pool materializes on its
-/// first grow, so a configured --pool-backend survives the load. The
-/// one-stop entry point for `imc_cli --load-pool` and
-/// ImcEngine::attach_pool.
-[[nodiscard]] RicPool load_ric_pool_any(
-    const std::string& path, const Graph& graph,
-    const CommunitySet& communities,
-    ArenaBackend backend = ArenaBackend::kRam,
     SnapshotTrust trust = SnapshotTrust::kVerifyPayload);
 
 }  // namespace imc

@@ -81,19 +81,11 @@ EvalScratch& accumulate_masks(const RicPool& pool,
 }  // namespace
 
 RicPool::RicPool(const Graph& graph, const CommunitySet& communities,
-                 DiffusionModel model, ArenaBackend backend)
+                 DiffusionModel model, ArenaBackend /*ignored*/)
     : graph_(&graph),
       communities_(&communities),
       model_(model),
-      backend_(backend),
-      total_benefit_(communities.total_benefit()),
-      thresholds_(backend),
-      source_community_(backend),
-      community_frequency_(backend),
-      sample_offsets_(backend),
-      sample_arena_(backend),
-      touch_offsets_(backend),
-      touches_(backend) {
+      total_benefit_(communities.total_benefit()) {
   // Validate eagerly so misconfiguration surfaces at pool construction;
   // the validation sampler seeds the reuse cache instead of being thrown
   // away.
@@ -108,7 +100,6 @@ RicPool::RicPool(RicPool&& other) noexcept
     : graph_(other.graph_),
       communities_(other.communities_),
       model_(other.model_),
-      backend_(other.backend_),
       total_benefit_(other.total_benefit_),
       grows_(other.grows_),
       repairs_(other.repairs_),
@@ -119,16 +110,13 @@ RicPool::RicPool(RicPool&& other) noexcept
       sample_arena_(std::move(other.sample_arena_)),
       sampler_cache_(std::move(other.sampler_cache_)),
       touch_offsets_(std::move(other.touch_offsets_)),
-      touches_(std::move(other.touches_)),
-      indexed_samples_(other.indexed_samples_),
-      index_stale_(other.index_stale_.load(std::memory_order_relaxed)) {}
+      touches_(std::move(other.touches_)) {}
 
 RicPool& RicPool::operator=(RicPool&& other) noexcept {
   if (this == &other) return *this;
   graph_ = other.graph_;
   communities_ = other.communities_;
   model_ = other.model_;
-  backend_ = other.backend_;
   total_benefit_ = other.total_benefit_;
   grows_ = other.grows_;
   repairs_ = other.repairs_;
@@ -140,9 +128,6 @@ RicPool& RicPool::operator=(RicPool&& other) noexcept {
   sampler_cache_ = std::move(other.sampler_cache_);
   touch_offsets_ = std::move(other.touch_offsets_);
   touches_ = std::move(other.touches_);
-  indexed_samples_ = other.indexed_samples_;
-  index_stale_.store(other.index_stale_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
   return *this;
 }
 
@@ -216,7 +201,7 @@ void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
       register_metadata(meta.community, meta.threshold, meta.touch_count);
     }
     release_sampler(std::move(sampler));
-    merge_fresh_into_index(1, nullptr);
+    merge_fresh_into_index(base, 1, nullptr);
     ++grows_;
     return;
   }
@@ -286,54 +271,9 @@ void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
     }
   }
 
-  // Merge the fresh batch (plus any samples append() left pending) into
-  // the CSR eagerly: grow() is the bulk producer, and doing it here keeps
-  // the read path branch-predictable.
-  merge_fresh_into_index(pool->size(), pool);
-  ++grows_;
-}
-
-void RicPool::append(RicSample sample) {
-  if (sample.community >= communities_->size()) {
-    throw std::invalid_argument("RicPool::append: bad community id");
-  }
-  if (sample.threshold == 0 ||
-      sample.threshold > communities_->population(sample.community)) {
-    throw std::invalid_argument("RicPool::append: threshold out of range");
-  }
-  // Reject masks with bits beyond the community population: popcount-based
-  // evaluators would count the phantom members toward h_g. (population is
-  // in [1, 64] here — empty communities are rejected by CommunitySet and
-  // the threshold check above bounds it — so the shift is well-defined.)
-  const std::uint64_t population = communities_->population(sample.community);
-  const std::uint64_t member_bits =
-      population >= 64 ? ~0ull : (1ull << population) - 1;
-  NodeId previous_node = 0;
-  bool first = true;
-  for (const auto& [node, mask] : sample.touching) {
-    if (node >= graph_->node_count() || mask == 0 ||
-        (mask & ~member_bits) != 0) {
-      throw std::invalid_argument("RicPool::append: bad touching entry");
-    }
-    // Touches must be strictly ascending by node (which also bans
-    // duplicates): sample() reads rely on it, and the CSR merge emits
-    // per-node runs whose sample-id order assumes one touch per node.
-    if (!first && node <= previous_node) {
-      throw std::invalid_argument(
-          "RicPool::append: touching entries not sorted by node");
-    }
-    previous_node = node;
-    first = false;
-  }
-  check_capacity(1);
-  ensure_mutable();
-  sample_arena_.append(sample.touching.data(),
-                       sample.touching.data() + sample.touching.size());
-  register_metadata(sample.community, sample.threshold,
-                    sample.touching.size());
-  // Defer the CSR merge: a deserialization loop appends |R| samples and
-  // pays for ONE rebuild on the first read instead of |R| re-merges.
-  index_stale_.store(true, std::memory_order_release);
+  // Merge the fresh batch into the CSR eagerly, so every read is a plain
+  // read.
+  merge_fresh_into_index(base, pool->size(), pool);
   ++grows_;
 }
 
@@ -351,21 +291,10 @@ RicSample RicPool::sample(std::uint32_t i) const {
   return s;
 }
 
-void RicPool::materialize_index() const {
-  const std::lock_guard<std::mutex> lock(index_mutex_);
-  if (!index_stale_.load(std::memory_order_relaxed)) return;  // raced: done
-  merge_fresh_into_index(1, nullptr);
-}
-
-void RicPool::merge_fresh_into_index(unsigned chunks,
-                                     ThreadPool* workers) const {
-  const std::uint64_t total_samples = size();
-  const std::uint64_t fresh_begin = indexed_samples_;
-  const std::uint64_t fresh = total_samples - fresh_begin;
-  if (fresh == 0) {
-    index_stale_.store(false, std::memory_order_release);
-    return;
-  }
+void RicPool::merge_fresh_into_index(std::uint64_t fresh_begin,
+                                     unsigned chunks, ThreadPool* workers) {
+  const std::uint64_t fresh = size() - fresh_begin;
+  if (fresh == 0) return;
   const std::uint64_t n = graph_->node_count();
   const std::uint64_t parts =
       std::max<std::uint64_t>(1, std::min<std::uint64_t>(chunks, fresh));
@@ -395,8 +324,8 @@ void RicPool::merge_fresh_into_index(unsigned chunks,
   // fresh touches, then chunk 1's, ... Sample ids ascend within each run
   // and across runs, so the merged CSR equals the serial append order for
   // ANY chunk count: the keystone of deterministic parallel rebuilds.
-  ArenaVector<std::uint64_t> new_offsets(n + 1, 0, backend_);
-  ArenaVector<Touch> new_arena(backend_);
+  ArenaVector<std::uint64_t> new_offsets(n + 1, 0);
+  ArenaVector<Touch> new_arena;
   const std::span<const std::uint64_t> old_offsets = touch_offsets_.span();
   const auto prefix_sum = [&] {
     std::uint64_t total = 0;
@@ -430,13 +359,14 @@ void RicPool::merge_fresh_into_index(unsigned chunks,
     }
   };
   // Pass 2b — scatter fresh touches at the per-(chunk, node) cursors.
+  const std::span<const std::uint32_t> thresholds = thresholds_.span();
   const auto scatter_range = [&](std::uint64_t begin, std::uint64_t end,
                                  unsigned) {
     for (std::uint64_t p = begin; p < end; ++p) {
       std::uint64_t* cursor = cursors.data() + p * n;
       for (std::uint64_t g = part_begin(p); g < part_begin(p + 1); ++g) {
         const auto id = static_cast<std::uint32_t>(g);
-        const std::uint32_t threshold = thresholds_[g];
+        const std::uint32_t threshold = thresholds[g];
         for (const auto& [node, mask] : sample_touches(id)) {
           new_arena[cursor[node]++] = Touch{id, threshold, mask};
         }
@@ -458,12 +388,9 @@ void RicPool::merge_fresh_into_index(unsigned chunks,
 
   touches_ = std::move(new_arena);
   touch_offsets_ = std::move(new_offsets);
-  indexed_samples_ = total_samples;
-  index_stale_.store(false, std::memory_order_release);
 }
 
 RicPool::SnapshotView RicPool::snapshot_view() const {
-  ensure_index();  // never persist a stale CSR
   SnapshotView view;
   view.thresholds = thresholds_.span();
   view.source_community = source_community_.span();
@@ -535,10 +462,7 @@ RicPool RicPool::restore_snapshot(const Graph& graph,
     }
   }
 
-  // The restored pool inherits the arenas' backend (the attach path hands
-  // over borrowed views whose materialize target is kMmap) so later
-  // growth keeps allocating from the same kind of storage.
-  RicPool pool(graph, communities, model, arenas.sample_arena.backend());
+  RicPool pool(graph, communities, model);
   pool.thresholds_ = std::move(arenas.thresholds);
   pool.source_community_ = std::move(arenas.source_community);
   pool.community_frequency_ = std::move(arenas.community_frequency);
@@ -548,8 +472,6 @@ RicPool RicPool::restore_snapshot(const Graph& graph,
   pool.touches_ = std::move(arenas.touches);
   pool.grows_ = epoch.grows;
   pool.repairs_ = epoch.repairs;
-  pool.indexed_samples_ = samples;
-  pool.index_stale_.store(false, std::memory_order_release);
   return pool;
 }
 
@@ -603,9 +525,9 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     ++repairs_;  // future samples may differ: stale carriers must not resume
     return stats;
   }
-  ensure_index();  // the affected set is read off the PRE-delta index
   ensure_mutable();
 
+  // The affected set is read off the PRE-delta index.
   // Affected = samples touching a changed in-adjacency head (their walk
   // examined that node's in-edges — see the header's identification rule)
   // ∪ samples sourced at a community whose member list moved (their mask
@@ -705,10 +627,10 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     new_pairs += repaired_meta[j]->touch_count -
                  (old_offsets[r + 1] - old_offsets[r]);
   }
-  ArenaVector<std::uint64_t> new_offsets(backend_);
+  ArenaVector<std::uint64_t> new_offsets;
   new_offsets.reserve(stats.total + 1);
   new_offsets.push_back(0);
-  ArenaVector<std::pair<NodeId, std::uint64_t>> new_arena(backend_);
+  ArenaVector<std::pair<NodeId, std::uint64_t>> new_arena;
   new_arena.reserve(new_pairs);
   std::uint64_t run_begin = 0;
   for (std::uint64_t j = 0; j <= count; ++j) {
@@ -743,9 +665,8 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   // offset table and an empty arena, merging [0, size()) is exactly the
   // fresh-build path — byte-identical for any chunk count.
   touch_offsets_.assign(graph_->node_count() + 1, 0);
-  touches_ = ArenaVector<Touch>(backend_);
-  indexed_samples_ = 0;
-  merge_fresh_into_index(pool == nullptr ? 1 : pool->size(), pool);
+  touches_ = ArenaVector<Touch>();
+  merge_fresh_into_index(0, pool == nullptr ? 1 : pool->size(), pool);
 
   ++repairs_;
   return stats;

@@ -14,14 +14,13 @@
 // materializes a RicSample view on demand (serialization/tests only).
 // Growth is arena-direct (DESIGN.md §9): per-part worker arenas filled by
 // `RicSampler::generate_into` are stitched straight into the sample-major
-// arena, and the CSR is rebuilt incrementally: `grow()` merges its fresh
+// arena, and the CSR is kept current eagerly: `grow()` merges its fresh
 // batch with a two-pass parallel build (per-chunk count, exclusive
-// prefix-sum, parallel scatter); `append()` marks the index stale and the
-// next reader materializes it on demand, so bulk deserialization pays one
-// merge, not one per sample.
+// prefix-sum, parallel scatter), and `invalidate_and_repair()` and
+// `restore_snapshot()` likewise leave a complete index behind, so every
+// read is a plain read.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -58,7 +57,7 @@ class RicPool {
   /// Append-only growth watermark. Captured by grow_epoch(), consumed by
   /// samples_since() and CoverageState::extend: the sample range
   /// [epoch.samples, size()) is exactly what growth appended since the
-  /// capture. `grows` counts completed grow()/append() operations — it lets
+  /// capture. `grows` counts completed grow() operations — it lets
   /// holders of an epoch assert they are looking at the same pool lineage
   /// (a pool that shrank or was rebuilt would not just have a different
   /// size, it would have replayed a different number of growth steps).
@@ -74,15 +73,14 @@ class RicPool {
     friend bool operator==(const PoolEpoch&, const PoolEpoch&) = default;
   };
 
-  /// The arena backend every growth path allocates from: kRam keeps the
-  /// pre-mmap behavior (aligned heap slabs), kMmap puts the arenas in
-  /// anonymous mappings grown via mremap. Content is bit-identical either
-  /// way — the backend only decides where the bytes live.
+  /// The trailing ArenaBackend parameter is inert (owned arenas are always
+  /// heap slabs); it remains only because the end-to-end benchmark program
+  /// still passes it, and goes with the next benchmark change.
   RicPool(const Graph& graph, const CommunitySet& communities,
           DiffusionModel model = DiffusionModel::kIndependentCascade,
-          ArenaBackend backend = ArenaBackend::kRam);
+          ArenaBackend /*ignored*/ = ArenaBackend::kRam);
 
-  // Movable (the CSR cache mutex is per-object, not part of the value).
+  // Movable (the sampler-cache mutex is per-object, not part of the value).
   RicPool(RicPool&& other) noexcept;
   RicPool& operator=(RicPool&& other) noexcept;
   RicPool(const RicPool&) = delete;
@@ -101,12 +99,6 @@ class RicPool {
   /// once sample ids would no longer fit in 32 bits.
   void grow(std::uint64_t count, std::uint64_t seed, bool parallel = true,
             ThreadPool* workers = nullptr);
-
-  /// Appends one externally produced sample (deserialization, tests).
-  /// Validates community id, threshold and touching node ids; throws
-  /// std::invalid_argument on mismatch with the bound structures. The CSR
-  /// index is NOT rebuilt here — it materializes on the next read.
-  void append(RicSample sample);
 
   [[nodiscard]] std::uint64_t size() const noexcept {
     return thresholds_.size();
@@ -182,8 +174,7 @@ class RicPool {
   };
 
   /// Read-only view of every arena plus the growth watermark — what the
-  /// snapshot writer serializes. Materializes any pending index merge
-  /// first so the CSR sections are never stale.
+  /// snapshot writer serializes.
   struct SnapshotView {
     std::span<const std::uint32_t> thresholds;
     std::span<const CommunityId> source_community;
@@ -198,25 +189,21 @@ class RicPool {
   [[nodiscard]] SnapshotView snapshot_view() const;
 
   /// Installs fully built arenas (deserialization back door for
-  /// sampling/pool_snapshot.cpp). Arenas may be owned (the streamed
-  /// loader) or borrowed zero-copy views into an mmapped snapshot (the
-  /// attach path) — a borrowed pool serves reads in place and
-  /// copy-on-write-materializes on the first grow()/append(). Validates
-  /// the cheap structural invariants (sizes coherent, both offset tables'
-  /// endpoints AND monotonicity — so no span can wrap out of bounds even
-  /// for trusted input — community frequencies sum to the sample count,
-  /// epoch matches); deep per-sample content validation is the loaders'
-  /// job (pool_snapshot's validate step, skipped only by the explicit
-  /// SnapshotTrust::kTrustPayload attach). Throws std::invalid_argument
-  /// on any structural mismatch.
+  /// sampling/pool_snapshot.cpp). Arenas are typically borrowed zero-copy
+  /// views into an mmapped snapshot — a borrowed pool serves reads in
+  /// place and copy-on-write-materializes on the first grow() or repair.
+  /// Validates the cheap structural invariants (sizes coherent, both
+  /// offset tables' endpoints AND monotonicity — so no span can wrap out
+  /// of bounds even for trusted input — community frequencies sum to the
+  /// sample count, epoch matches); deep per-sample content validation is
+  /// the loader's job (pool_snapshot's validate step, skipped only by the
+  /// explicit SnapshotTrust::kTrustPayload attach). Throws
+  /// std::invalid_argument on any structural mismatch.
   [[nodiscard]] static RicPool restore_snapshot(const Graph& graph,
                                                 const CommunitySet& communities,
                                                 DiffusionModel model,
                                                 PoolEpoch epoch,
                                                 PoolArenas&& arenas);
-
-  /// Backend growth allocates from (fixed at construction / restore).
-  [[nodiscard]] ArenaBackend backend() const noexcept { return backend_; }
 
   /// True while any arena is still a zero-copy view into an attached
   /// snapshot mapping (i.e. no mutation has materialized it yet).
@@ -233,7 +220,7 @@ class RicPool {
   /// Touch list of sample g — the same (node, mask) pairs as
   /// sample(g).touching, but served from one contiguous sample-major arena
   /// (samples are concatenated in insertion order, so maintenance on
-  /// grow/append is a plain append — no rebuild, never stale). The
+  /// grow is a plain append — no rebuild, never stale). The
   /// sample-major marginal passes stream this arena end to end instead of
   /// hopping through |R| scattered heap vectors. Hot path: debug-asserted.
   [[nodiscard]] std::span<const std::pair<NodeId, std::uint64_t>>
@@ -277,7 +264,6 @@ class RicPool {
   /// Samples touched by node v (empty for untouched nodes). Hot path:
   /// bounds are debug-asserted, not checked in release builds.
   [[nodiscard]] std::span<const Touch> touches_of(NodeId v) const {
-    ensure_index();
     assert(v + 1 < touch_offsets_.size());
     const std::uint64_t begin = touch_offsets_[v];
     return {touches_.data() + begin, touch_offsets_[v + 1] - begin};
@@ -306,18 +292,17 @@ class RicPool {
 
   /// CSR begin offsets (node -> first touch; node_count()+1 entries). The
   /// span [touch_offsets()[v], touch_offsets()[v+1]) indexes touch_arena().
-  [[nodiscard]] std::span<const std::uint64_t> touch_offsets() const {
-    ensure_index();
+  [[nodiscard]] std::span<const std::uint64_t> touch_offsets()
+      const noexcept {
     return touch_offsets_.span();
   }
   /// The contiguous touch arena the offsets point into.
-  [[nodiscard]] std::span<const Touch> touch_arena() const {
-    ensure_index();
+  [[nodiscard]] std::span<const Touch> touch_arena() const noexcept {
     return touches_.span();
   }
 
   /// Number of samples whose source community is c (MAF community
-  /// frequency). O(1): counters are maintained during grow/append.
+  /// frequency). O(1): counters are maintained during growth.
   [[nodiscard]] std::uint32_t community_frequency(CommunityId c) const {
     return c < community_frequency_.size() ? community_frequency_[c] : 0;
   }
@@ -374,30 +359,23 @@ class RicPool {
   /// need no eager copy. No-op for pools that own their arenas.
   void ensure_mutable();
 
-  /// Cheap staleness gate in front of every index read.
-  void ensure_index() const {
-    if (index_stale_.load(std::memory_order_acquire)) materialize_index();
-  }
-  /// Slow path of ensure_index(): serial merge under the cache mutex
-  /// (double-checked; safe for concurrent const readers).
-  void materialize_index() const;
-  /// Merges samples [indexed_samples_, size()) into the CSR via the
-  /// two-pass build: per-chunk counting, exclusive prefix-sum over
-  /// (node, chunk) cursors, then relocation of the old arena and scatter of
-  /// the fresh touches — both parallel when `chunks > 1`. Fresh touches are
-  /// read from the sample-major arena. The result is byte-identical for
-  /// any chunk count (touches stay sorted by sample id within each node),
-  /// which is what keeps selection deterministic.
-  void merge_fresh_into_index(unsigned chunks, ThreadPool* workers) const;
+  /// Merges samples [fresh_begin, size()) into the CSR, which must index
+  /// exactly [0, fresh_begin), via the two-pass build: per-chunk counting,
+  /// exclusive prefix-sum over (node, chunk) cursors, then relocation of
+  /// the old arena and scatter of the fresh touches — both parallel when
+  /// `chunks > 1`. Fresh touches are read from the sample-major arena. The
+  /// result is byte-identical for any chunk count (touches stay sorted by
+  /// sample id within each node), which is what keeps selection
+  /// deterministic.
+  void merge_fresh_into_index(std::uint64_t fresh_begin, unsigned chunks,
+                              ThreadPool* workers);
 
   const Graph* graph_;
   const CommunitySet* communities_;
   DiffusionModel model_ = DiffusionModel::kIndependentCascade;
-  ArenaBackend backend_ = ArenaBackend::kRam;
   double total_benefit_ = 0.0;
 
-  // Completed growth operations (grow with count > 0, append); see
-  // PoolEpoch.
+  // Completed growth operations (grow with count > 0); see PoolEpoch.
   std::uint64_t grows_ = 0;
 
   // Completed delta repairs (invalidate_and_repair with non-empty
@@ -405,8 +383,8 @@ class RicPool {
   std::uint64_t repairs_ = 0;
 
   // SoA hot-path metadata, one entry per sample. All arenas below live in
-  // ArenaVector slabs (util/mmap_arena.h): heap or anonymous-mmap per
-  // backend_, or zero-copy borrowed views while attached() to a snapshot.
+  // ArenaVector slabs (util/mmap_arena.h): owned heap slabs, or zero-copy
+  // borrowed views while attached() to a snapshot.
   ArenaVector<std::uint32_t> thresholds_;       // sample -> h_g
   ArenaVector<CommunityId> source_community_;   // sample -> C_g
   ArenaVector<std::uint32_t> community_frequency_;  // community -> #samples
@@ -422,13 +400,9 @@ class RicPool {
   std::vector<std::unique_ptr<RicSampler>> sampler_cache_;
   std::mutex sampler_mutex_;
 
-  // Flat CSR inverted index over samples [0, indexed_samples_); mutable so
-  // const readers can materialize pending appends on demand.
-  mutable ArenaVector<std::uint64_t> touch_offsets_;  // node -> begin
-  mutable ArenaVector<Touch> touches_;                // contiguous arena
-  mutable std::uint64_t indexed_samples_ = 0;
-  mutable std::atomic<bool> index_stale_{false};
-  mutable std::mutex index_mutex_;
+  // Flat CSR inverted index over every sample [0, size()).
+  ArenaVector<std::uint64_t> touch_offsets_;  // node -> begin
+  ArenaVector<Touch> touches_;                // contiguous arena
 };
 
 }  // namespace imc

@@ -15,7 +15,6 @@
 #include "core/maf.h"
 #include "core/objective.h"
 #include "core/ubg.h"
-#include "sampling/pool_io.h"
 #include "sampling/pool_snapshot.h"
 #include "sampling/ric_pool.h"
 #include "sampling/ric_sample.h"
@@ -167,67 +166,6 @@ std::optional<std::string> check_pool_layout(const InstanceSpec& spec,
              std::to_string(pool.community_frequency(c)) + " != reference " +
              std::to_string(ref.community_frequency(c));
     }
-  }
-  return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
-// Check: append_path
-// ---------------------------------------------------------------------------
-
-std::optional<std::string> check_append_path(const InstanceSpec& spec,
-                                             std::uint64_t case_seed) {
-  const Graph graph = spec.build_graph();
-  const CommunitySet communities = spec.build_communities();
-  const std::uint64_t count = pool_size_for(case_seed);
-
-  RicPool grown(graph, communities, spec.model);
-  grown.grow(count, case_seed, /*parallel=*/false);
-
-  // Rebuild sample-by-sample through append(); interleave an index read so
-  // the materialize-on-demand merge runs more than once.
-  RicPool appended(graph, communities, spec.model);
-  for (std::uint32_t g = 0; g < count; ++g) {
-    appended.append(grown.sample(g));
-    if (g == count / 2) {
-      (void)appended.appearance_count(0);  // force a mid-stream materialize
-    }
-  }
-  if (appended.size() != grown.size()) {
-    return "appended pool size mismatch";
-  }
-  for (NodeId v = 0; v < graph.node_count(); ++v) {
-    const auto got = appended.touches_of(v);
-    const auto want = grown.touches_of(v);
-    if (got.size() != want.size()) {
-      return "append: node " + std::to_string(v) + " touch count mismatch";
-    }
-    for (std::size_t t = 0; t < want.size(); ++t) {
-      if (got[t].sample != want[t].sample ||
-          got[t].threshold != want[t].threshold ||
-          got[t].mask != want[t].mask) {
-        return "append: node " + std::to_string(v) + " touch " +
-               std::to_string(t) + " mismatch";
-      }
-    }
-  }
-  const auto got_freq = appended.community_frequencies();
-  const auto want_freq = grown.community_frequencies();
-  if (!std::equal(got_freq.begin(), got_freq.end(), want_freq.begin(),
-                  want_freq.end())) {
-    return "append: community_frequencies mismatch";
-  }
-  // Evaluators must agree exactly: same arenas, same sweep.
-  Rng rng(case_seed ^ 0xa99e4dULL);
-  const auto k = static_cast<std::uint32_t>(
-      rng.between(1, std::min<std::int64_t>(4, graph.node_count())));
-  const std::vector<std::uint32_t> seeds =
-      rng.sample_without_replacement(graph.node_count(), k);
-  const std::span<const NodeId> view(seeds);
-  if (appended.influenced_count(view) != grown.influenced_count(view) ||
-      appended.c_hat(view) != grown.c_hat(view) ||
-      appended.nu(view) != grown.nu(view)) {
-    return "append: evaluator mismatch on seeds " + describe_nodes(view);
   }
   return std::nullopt;
 }
@@ -581,10 +519,9 @@ std::optional<std::string> check_warm_vs_cold(const InstanceSpec& spec,
 // Check: pool_roundtrip
 // ---------------------------------------------------------------------------
 
-/// Bit-level pool equality over everything persistence must preserve: the
-/// SoA metadata, both arenas and the CSR index. Deliberately NOT the grow
-/// epoch — the text v1 loader rebuilds through append() (one "grow" per
-/// sample), which is its documented behavior.
+/// Bit-level pool equality over the SoA metadata, both arenas and the CSR
+/// index. Deliberately NOT the growth watermark — a repaired pool and its
+/// from-scratch rebuild differ there by design.
 std::string pool_content_diff(const RicPool& got, const RicPool& want) {
   if (got.size() != want.size()) return "size mismatch";
   if (got.model() != want.model()) return "model tag mismatch";
@@ -625,9 +562,9 @@ std::string pool_content_diff(const RicPool& got, const RicPool& want) {
   return "";
 }
 
-/// Every persistence path — text v1 re-parse, binary v2 streamed read,
-/// binary v2 zero-copy mmap attach — must hand back the ORIGINAL pool
-/// bit-for-bit, and solves on the reloaded pools must be bit-identical to
+/// The persistence path — a binary v3 snapshot written to a real file and
+/// attached zero-copy via mmap — must hand back the ORIGINAL pool
+/// bit-for-bit, and solves on the attached pool must be bit-identical to
 /// solves on the original at every parallelism level. This is the
 /// round-trip certificate behind `imc_cli --save-pool/--load-pool`.
 std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
@@ -639,58 +576,32 @@ std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
   RicPool original(graph, communities, spec.model);
   original.grow(count, case_seed, /*parallel=*/false);
 
-  // Leg 1: text v1 through a string stream.
-  std::stringstream text;
-  write_ric_pool(text, original);
-  const RicPool from_text = read_ric_pool(text, graph, communities);
-
-  // Leg 2: binary v2, streamed read with full validation.
-  std::stringstream binary;
-  write_ric_pool_snapshot(binary, original);
-  const RicPool from_stream =
-      read_ric_pool_snapshot(binary, graph, communities);
-
-  // Leg 3: binary v2, zero-copy mmap attach from a real file. The file is
-  // unlinked immediately after the attach — the mapping must pin it.
+  // The file is unlinked immediately after the attach — the mapping must
+  // pin it.
   char path[] = "/tmp/imc_fuzz_pool_XXXXXX";
   const int fd = ::mkstemp(path);
-  if (fd < 0) return "mkstemp failed for the mmap round-trip leg";
+  if (fd < 0) return "mkstemp failed for the mmap round-trip";
   ::close(fd);
-  std::optional<RicPool> from_mmap;
+  std::optional<RicPool> attached;
   std::string attach_error;
   try {
     save_ric_pool_snapshot(path, original);
-    from_mmap.emplace(attach_ric_pool_snapshot(path, graph, communities));
+    attached.emplace(attach_ric_pool_snapshot(path, graph, communities));
   } catch (const std::exception& e) {
     attach_error = e.what();
   }
   std::remove(path);
-  if (!from_mmap) return "mmap attach leg failed: " + attach_error;
-  if (!from_mmap->attached()) {
-    return "mmap attach leg did not produce a zero-copy attached pool";
+  if (!attached) return "mmap attach failed: " + attach_error;
+  if (!attached->attached()) {
+    return "mmap attach did not produce a zero-copy attached pool";
+  }
+  const std::string diff = pool_content_diff(*attached, original);
+  if (!diff.empty()) return "mmap round-trip not bit-identical: " + diff;
+  if (attached->grow_epoch() != original.grow_epoch()) {
+    return "mmap round-trip lost the epoch watermark";
   }
 
-  const struct {
-    const char* name;
-    const RicPool* pool;
-  } legs[] = {{"text-v1", &from_text},
-              {"binary-v2-streamed", &from_stream},
-              {"binary-v2-mmap", &*from_mmap}};
-  for (const auto& leg : legs) {
-    const std::string diff = pool_content_diff(*leg.pool, original);
-    if (!diff.empty()) {
-      return std::string(leg.name) + " round-trip not bit-identical: " +
-             diff;
-    }
-  }
-  // The binary format persists the epoch watermark exactly.
-  if (from_stream.grow_epoch().samples != original.grow_epoch().samples ||
-      from_stream.grow_epoch().grows != original.grow_epoch().grows ||
-      from_mmap->grow_epoch().grows != original.grow_epoch().grows) {
-    return "binary v2 round-trip lost the epoch watermark";
-  }
-
-  // Solves on the reloaded pools, across the thread grid {1, 2, 8}: same
+  // Solves on the attached pool, across the thread grid {1, 2, 8}: same
   // arenas must mean the same deterministic selection, bit for bit.
   ThreadPool two(2);
   ThreadPool eight(8);
@@ -706,24 +617,20 @@ std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
     const UbgSolution want_ubg = ubg_solve(original, k, *options);
     const MafSolution want_maf =
         maf_solve(original, k, /*seed=*/case_seed, *options);
-    for (const auto& leg : legs) {
-      const UbgSolution got_ubg = ubg_solve(*leg.pool, k, *options);
-      if (got_ubg.seeds != want_ubg.seeds ||
-          got_ubg.c_hat != want_ubg.c_hat) {
-        return std::string(leg.name) + ": ubg_solve diverged (seeds " +
-               describe_nodes(got_ubg.seeds) + " vs " +
-               describe_nodes(want_ubg.seeds) + ", " +
-               (options->parallel ? "parallel" : "serial") + ")";
-      }
-      const MafSolution got_maf =
-          maf_solve(*leg.pool, k, /*seed=*/case_seed, *options);
-      if (got_maf.seeds != want_maf.seeds ||
-          got_maf.c_hat != want_maf.c_hat) {
-        return std::string(leg.name) + ": maf_solve diverged (seeds " +
-               describe_nodes(got_maf.seeds) + " vs " +
-               describe_nodes(want_maf.seeds) + ", " +
-               (options->parallel ? "parallel" : "serial") + ")";
-      }
+    const UbgSolution got_ubg = ubg_solve(*attached, k, *options);
+    if (got_ubg.seeds != want_ubg.seeds || got_ubg.c_hat != want_ubg.c_hat) {
+      return std::string("mmap attach: ubg_solve diverged (seeds ") +
+             describe_nodes(got_ubg.seeds) + " vs " +
+             describe_nodes(want_ubg.seeds) + ", " +
+             (options->parallel ? "parallel" : "serial") + ")";
+    }
+    const MafSolution got_maf =
+        maf_solve(*attached, k, /*seed=*/case_seed, *options);
+    if (got_maf.seeds != want_maf.seeds || got_maf.c_hat != want_maf.c_hat) {
+      return std::string("mmap attach: maf_solve diverged (seeds ") +
+             describe_nodes(got_maf.seeds) + " vs " +
+             describe_nodes(want_maf.seeds) + ", " +
+             (options->parallel ? "parallel" : "serial") + ")";
     }
   }
   return std::nullopt;
@@ -999,7 +906,6 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 std::vector<FuzzCheck> default_checks() {
   return {
       {"pool_layout", check_pool_layout},
-      {"append_path", check_append_path},
       {"evaluators", check_evaluators},
       {"greedy", check_greedy},
       {"kernel_variants", check_kernel_variants},

@@ -10,8 +10,6 @@
 //                     reference pool fed the same per-sample RNG
 //                     substreams, compared sample-for-sample and
 //                     touch-for-touch.
-//   * append_path   — RicPool::append + materialize-on-demand index vs the
-//                     grow()-built index, including interleaved reads.
 //   * evaluators    — c_hat/nu/influenced_count, CoverageState increments,
 //                     node marginals (ν compared BIT-FOR-BIT to pin the
 //                     accumulation-order contract) and the chunked /
@@ -22,6 +20,10 @@
 //                     min_parallel_candidates = 1 to force the parallel
 //                     reduction), vs the serial reference greedy:
 //                     seed-for-seed equality.
+//   * pool_roundtrip — save_ric_pool_snapshot + zero-copy
+//                     attach_ric_pool_snapshot vs the original pool:
+//                     bit-identical arenas, CSR index and epoch watermark,
+//                     plus UBG/MAF seed/ĉ equality at threads {1, 2, 8}.
 //   * delta_vs_rebuild — random GraphDelta streams (edge upserts/removals
 //                     and membership moves) interleaved with solves: pools
 //                     repaired in place at threads {1, 2, 8} vs a

@@ -1,22 +1,16 @@
-// Memory-mapped arena storage: the substrate that lets RicPool's flat
-// arenas live outside any single process (DESIGN.md §13, "Pool persistence
-// & arena backends").
+// Arena storage for RicPool's flat arrays (DESIGN.md §13, "Pool
+// persistence & arena storage").
 //
 // Two layers:
-//   * MmapStorage  — an untyped, growable mapping. Anonymous (a RAM slab
-//     the kernel can lazily back and swap), file-backed read-write (an
-//     out-of-core slab that IS its on-disk representation), or a read-only
-//     view of an existing file (the zero-copy snapshot-attach path).
-//     Growth goes through mremap on Linux (the common case: the mapping
-//     extends in place or moves without a copy) with a map-copy-unmap
-//     fallback elsewhere.
+//   * MmapStorage  — a read-only mapping of an existing file: the
+//     zero-copy snapshot-attach path. Reads fault pages straight from the
+//     page cache; nothing is copied.
 //   * ArenaVector<T> — a std::vector-shaped container for memcpy-safe
-//     element types over one of three storages: a 64-byte-aligned heap
-//     slab (ArenaBackend::kRam), an anonymous/file MmapStorage slab
-//     (ArenaBackend::kMmap), or a BORROWED read-only view into somebody
-//     else's mapping (a pool snapshot opened with mmap). Borrowed vectors
-//     serve reads zero-copy and materialize an owned copy on the first
-//     mutation (copy-on-write), so attaching a multi-gigabyte pool costs
+//     element types over one of two storages: an owned 64-byte-aligned
+//     heap slab, or a BORROWED read-only view into an MmapStorage (a pool
+//     snapshot opened with mmap). Borrowed vectors serve reads zero-copy
+//     and materialize an owned heap copy on the first mutation
+//     (copy-on-write), so attaching a multi-gigabyte pool costs
 //     page-table setup, not a pass over the data.
 //
 // Lifetime contract for borrowed vectors: the view pins the mapping via a
@@ -38,11 +32,11 @@
 
 namespace imc {
 
-/// Where an ArenaVector keeps its owned bytes.
-enum class ArenaBackend {
-  kRam,   // 64-byte-aligned heap slab (aligned_alloc)
-  kMmap,  // anonymous mmap slab, grown via mremap
-};
+/// Inert: owned arenas always live in 64-byte-aligned heap slabs. The
+/// one-value enum remains only because the end-to-end benchmark program
+/// still names it (ImcafConfig::pool_backend, RicPool's trailing
+/// constructor parameter); the next benchmark change removes all three.
+enum class ArenaBackend { kRam };
 
 class MmapStorage {
  public:
@@ -54,45 +48,22 @@ class MmapStorage {
   MmapStorage(const MmapStorage&) = delete;
   MmapStorage& operator=(const MmapStorage&) = delete;
 
-  /// Anonymous read-write mapping of at least `bytes` (rounded up to a
-  /// 64-byte multiple; zero-filled). Throws std::runtime_error on failure.
-  [[nodiscard]] static MmapStorage anonymous(std::size_t bytes);
-
-  /// Creates (or truncates) `path` at `bytes` and maps it read-write,
-  /// MAP_SHARED: stores hit the page cache and reach the file without an
-  /// explicit write pass. Throws std::runtime_error on failure.
-  [[nodiscard]] static MmapStorage create_file(const std::string& path,
-                                               std::size_t bytes);
-
-  /// Maps an existing file read-only, whole length. The snapshot-attach
-  /// path: reads fault pages straight from the page cache / disk, no copy.
-  /// Throws std::runtime_error when the file cannot be opened or mapped.
+  /// Maps an existing file read-only, whole length. Throws
+  /// std::runtime_error when the file cannot be opened, is empty or cannot
+  /// be mapped.
   [[nodiscard]] static MmapStorage open_readonly(const std::string& path);
 
-  /// Grows the mapping to at least `bytes` (no-op when already that big).
-  /// The base address MAY move — callers must refresh their pointers.
-  /// File-backed mappings extend the file first. Throws on failure or on a
-  /// read-only mapping.
-  void grow(std::size_t bytes);
-
-  [[nodiscard]] std::byte* data() noexcept {
-    assert(writable_ || address_ == nullptr);
-    return static_cast<std::byte*>(address_);
-  }
   [[nodiscard]] const std::byte* data() const noexcept {
     return static_cast<const std::byte*>(address_);
   }
   [[nodiscard]] std::size_t size() const noexcept { return bytes_; }
   [[nodiscard]] bool valid() const noexcept { return address_ != nullptr; }
-  [[nodiscard]] bool writable() const noexcept { return writable_; }
 
  private:
   void reset() noexcept;
 
   void* address_ = nullptr;
   std::size_t bytes_ = 0;
-  int fd_ = -1;  // >= 0 only for file-backed mappings
-  bool writable_ = false;
 };
 
 namespace detail {
@@ -113,23 +84,16 @@ class ArenaVector {
 
  public:
   ArenaVector() = default;
-  explicit ArenaVector(ArenaBackend backend) : backend_(backend) {}
-  ArenaVector(std::size_t count, const T& value,
-              ArenaBackend backend = ArenaBackend::kRam)
-      : backend_(backend) {
-    resize(count, value);
-  }
+  ArenaVector(std::size_t count, const T& value) { resize(count, value); }
 
   /// Zero-copy view over `count` elements inside an externally owned
   /// mapping. Reads are served in place; the first mutation (or an
-  /// explicit ensure_owned()) copies the contents into owned storage of
-  /// `materialize_backend`. The keepalive pins the mapping while any view
-  /// of it is alive.
+  /// explicit ensure_owned()) copies the contents into an owned heap slab.
+  /// The keepalive pins the mapping while any view of it is alive.
   [[nodiscard]] static ArenaVector borrowed(
       const T* data, std::size_t count,
-      std::shared_ptr<const MmapStorage> keepalive,
-      ArenaBackend materialize_backend = ArenaBackend::kMmap) {
-    ArenaVector v(materialize_backend);
+      std::shared_ptr<const MmapStorage> keepalive) {
+    ArenaVector v;
     v.data_ = const_cast<T*>(data);  // never written while borrowed_
     v.size_ = count;
     v.capacity_ = count;
@@ -153,7 +117,6 @@ class ArenaVector {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] ArenaBackend backend() const noexcept { return backend_; }
   [[nodiscard]] bool is_borrowed() const noexcept { return borrowed_; }
 
   [[nodiscard]] const T* data() const noexcept { return data_; }
@@ -239,7 +202,7 @@ class ArenaVector {
   }
 
   /// Copy-on-write materialization: after this call the contents live in
-  /// owned storage of backend() and the keepalive (if any) is released.
+  /// an owned heap slab and the keepalive (if any) is released.
   void ensure_owned() {
     if (borrowed_) materialize();
   }
@@ -249,10 +212,8 @@ class ArenaVector {
     data_ = other.data_;
     size_ = other.size_;
     capacity_ = other.capacity_;
-    backend_ = other.backend_;
     borrowed_ = other.borrowed_;
     heap_ = other.heap_;
-    storage_ = std::move(other.storage_);
     keepalive_ = std::move(other.keepalive_);
     other.data_ = nullptr;
     other.size_ = 0;
@@ -264,7 +225,6 @@ class ArenaVector {
   void release() noexcept {
     if (heap_ != nullptr) std::free(heap_);
     heap_ = nullptr;
-    storage_ = MmapStorage();
     keepalive_.reset();
     data_ = nullptr;
     size_ = 0;
@@ -278,11 +238,9 @@ class ArenaVector {
   T* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
-  ArenaBackend backend_ = ArenaBackend::kRam;
   bool borrowed_ = false;
 
-  void* heap_ = nullptr;     // kRam owned slab (aligned_alloc)
-  MmapStorage storage_;      // kMmap owned slab
+  void* heap_ = nullptr;  // owned slab (aligned_alloc)
   std::shared_ptr<const MmapStorage> keepalive_;  // borrowed mode
 };
 
@@ -300,26 +258,13 @@ void ArenaVector<T>::grow_capacity(std::size_t min_count) {
   std::size_t target = capacity_ < 8 ? 8 : capacity_ * 2;
   if (target < min_count) target = min_count;
   const std::size_t bytes = detail::round_up_64(target * sizeof(T));
-  if (backend_ == ArenaBackend::kRam) {
-    void* slab = detail::aligned_slab(bytes);
-    if (size_ > 0) {
-      std::memcpy(slab, static_cast<const void*>(data_), size_ * sizeof(T));
-    }
-    if (heap_ != nullptr) std::free(heap_);
-    heap_ = slab;
-    data_ = static_cast<T*>(slab);
-  } else {
-    if (!storage_.valid()) {
-      storage_ = MmapStorage::anonymous(bytes);
-      if (size_ > 0) {
-        std::memcpy(storage_.data(), static_cast<const void*>(data_),
-                    size_ * sizeof(T));
-      }
-    } else {
-      storage_.grow(bytes);  // may move; contents travel with the mapping
-    }
-    data_ = reinterpret_cast<T*>(storage_.data());
+  void* slab = detail::aligned_slab(bytes);
+  if (size_ > 0) {
+    std::memcpy(slab, static_cast<const void*>(data_), size_ * sizeof(T));
   }
+  if (heap_ != nullptr) std::free(heap_);
+  heap_ = slab;
+  data_ = static_cast<T*>(slab);
   capacity_ = bytes / sizeof(T);
 }
 

@@ -278,16 +278,18 @@ TEST(PoolRepair, SnapshotPersistsRepairsEpoch) {
 
   // A carrier captured against the repaired pool must NOT validate
   // against the stale pre-repair snapshot: the loaded epoch still says
-  // repairs == 0.
-  const RicPool loaded =
-      load_ric_pool_snapshot(path, old_graph, old_communities);
-  EXPECT_THROW((void)loaded.samples_since(repaired), std::invalid_argument);
+  // repairs == 0. (Scoped: the attached pool maps the file, which the
+  // save below rewrites.)
+  {
+    const RicPool loaded =
+        attach_ric_pool_snapshot(path, old_graph, old_communities);
+    EXPECT_THROW((void)loaded.samples_since(repaired), std::invalid_argument);
+  }
 
   // And a snapshot of the repaired pool round-trips the repairs counter,
-  // so the same carrier DOES validate after a save → load cycle.
+  // so the same carrier DOES validate after a save → attach cycle.
   save_ric_pool_snapshot(path, pool);
-  const RicPool reloaded =
-      load_ric_pool_snapshot(path, graph, communities);
+  const RicPool reloaded = attach_ric_pool_snapshot(path, graph, communities);
   EXPECT_EQ(reloaded.samples_since(repaired), 0U);
   expect_same_pool(pool, reloaded);
   std::filesystem::remove(path);

@@ -12,7 +12,6 @@
 
 #include "community/threshold_policy.h"
 #include "core/engine.h"
-#include "sampling/pool_io.h"
 #include "core/maxr_solver.h"
 #include "test_support.h"
 #include "util/mathx.h"
@@ -85,33 +84,6 @@ std::string temp_snapshot(const RicPool& pool, const std::string& name) {
   return path;
 }
 
-TEST(PoolSnapshot, StreamedRoundTripIsBitIdentical) {
-  const Fixture fixture;
-  RicPool original(fixture.graph, fixture.communities);
-  original.grow(250, 41);
-
-  std::istringstream in(snapshot_bytes(original), std::ios::binary);
-  const RicPool loaded =
-      read_ric_pool_snapshot(in, fixture.graph, fixture.communities);
-  EXPECT_FALSE(loaded.attached());
-  expect_pools_bit_identical(loaded, original);
-
-  const std::vector<NodeId> seeds{0, 5, 9};
-  EXPECT_DOUBLE_EQ(loaded.c_hat(seeds), original.c_hat(seeds));
-  EXPECT_DOUBLE_EQ(loaded.nu(seeds), original.nu(seeds));
-}
-
-TEST(PoolSnapshot, StreamedRoundTripIntoMmapBackend) {
-  const Fixture fixture;
-  RicPool original(fixture.graph, fixture.communities);
-  original.grow(120, 7);
-  std::istringstream in(snapshot_bytes(original), std::ios::binary);
-  const RicPool loaded = read_ric_pool_snapshot(
-      in, fixture.graph, fixture.communities, ArenaBackend::kMmap);
-  EXPECT_EQ(loaded.backend(), ArenaBackend::kMmap);
-  expect_pools_bit_identical(loaded, original);
-}
-
 TEST(PoolSnapshot, MmapAttachIsBitIdenticalAndZeroCopy) {
   const Fixture fixture;
   RicPool original(fixture.graph, fixture.communities);
@@ -122,7 +94,32 @@ TEST(PoolSnapshot, MmapAttachIsBitIdenticalAndZeroCopy) {
       attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
   EXPECT_TRUE(attached.attached());
   expect_pools_bit_identical(attached, original);
+
+  const std::vector<NodeId> seeds{0, 5, 9};
+  EXPECT_DOUBLE_EQ(attached.c_hat(seeds), original.c_hat(seeds));
+  EXPECT_DOUBLE_EQ(attached.nu(seeds), original.nu(seeds));
   std::remove(path.c_str());
+}
+
+TEST(PoolSnapshot, LtModelTagRoundTrips) {
+  const Fixture fixture;
+  RicPool original(fixture.graph, fixture.communities,
+                   DiffusionModel::kLinearThreshold);
+  original.grow(40, 9);
+  const std::string path = temp_snapshot(original, "imc_snap_lt.bin");
+  const RicPool attached =
+      attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
+  EXPECT_EQ(attached.model(), DiffusionModel::kLinearThreshold);
+  expect_pools_bit_identical(attached, original);
+  std::remove(path.c_str());
+}
+
+TEST(PoolSnapshot, SaveReportsFailureOnUnwritablePath) {
+  const Fixture fixture;
+  RicPool pool(fixture.graph, fixture.communities);
+  pool.grow(10, 1);
+  EXPECT_THROW(save_ric_pool_snapshot("/no/such/dir/pool.snap", pool),
+               std::runtime_error);
 }
 
 TEST(PoolSnapshot, AttachedPoolSurvivesSnapshotFileRemoval) {
@@ -137,6 +134,26 @@ TEST(PoolSnapshot, AttachedPoolSurvivesSnapshotFileRemoval) {
   std::remove(path.c_str());
   const std::vector<NodeId> seeds{1, 4};
   EXPECT_DOUBLE_EQ(attached.c_hat(seeds), original.c_hat(seeds));
+}
+
+TEST(PoolSnapshot, AttachedPoolSavesOverItsOwnFile) {
+  // The save must not truncate the file whose mapping backs the arenas it
+  // is writing; the attached pool and the rewritten file both stay intact.
+  const Fixture fixture;
+  RicPool original(fixture.graph, fixture.communities);
+  original.grow(120, 5);
+  const std::string path = temp_snapshot(original, "imc_snap_self.bin");
+  const RicPool attached =
+      attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
+  ASSERT_TRUE(attached.attached());
+
+  save_ric_pool_snapshot(path, attached);
+  expect_pools_bit_identical(attached, original);
+  const RicPool reattached =
+      attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
+  expect_pools_bit_identical(reattached, original);
+  EXPECT_EQ(snapshot_bytes(reattached), snapshot_bytes(original));
+  std::remove(path.c_str());
 }
 
 TEST(PoolSnapshot, AttachThenGrowCopyOnWriteMatchesStraightGrowth) {
@@ -169,39 +186,12 @@ TEST(PoolSnapshot, RestoredEpochValidatesWarmStartWatermarks) {
   original.grow(40, 5);
   const RicPool::PoolEpoch epoch = original.grow_epoch();
 
-  std::istringstream in(snapshot_bytes(original), std::ios::binary);
+  const std::string path = temp_snapshot(original, "imc_snap_epoch.bin");
   const RicPool loaded =
-      read_ric_pool_snapshot(in, fixture.graph, fixture.communities);
+      attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
   EXPECT_EQ(loaded.grow_epoch(), epoch);
   EXPECT_EQ(loaded.samples_since(epoch), 0U);
-}
-
-TEST(PoolSnapshot, LoadAnyDispatchesOnMagic) {
-  const Fixture fixture;
-  RicPool pool(fixture.graph, fixture.communities);
-  pool.grow(30, 5);
-
-  const std::string binary = temp_snapshot(pool, "imc_snap_any.bin");
-  const RicPool from_binary =
-      load_ric_pool_any(binary, fixture.graph, fixture.communities);
-  EXPECT_TRUE(from_binary.attached());
-  expect_pools_bit_identical(from_binary, pool);
-
-  const std::string text = ::testing::TempDir() + "/imc_snap_any.txt";
-  save_ric_pool(text, pool);
-  EXPECT_FALSE(is_pool_snapshot_file(text));
-  const RicPool from_text =
-      load_ric_pool_any(text, fixture.graph, fixture.communities);
-  EXPECT_FALSE(from_text.attached());
-  // The text v1 format does not persist the epoch watermark (its loader
-  // replays one append per sample), so compare content, not the epoch.
-  ASSERT_EQ(from_text.size(), pool.size());
-  const std::vector<NodeId> probe{0, 5, 9};
-  EXPECT_DOUBLE_EQ(from_text.c_hat(probe), pool.c_hat(probe));
-  EXPECT_DOUBLE_EQ(from_text.nu(probe), pool.nu(probe));
-
-  std::remove(binary.c_str());
-  std::remove(text.c_str());
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -263,29 +253,25 @@ void reseal_checksum(std::string& blob) {
   reseal_header(blob);
 }
 
-std::string streamed_error(const Fixture& fixture, const std::string& blob) {
-  std::istringstream in(blob, std::ios::binary);
-  try {
-    (void)read_ric_pool_snapshot(in, fixture.graph, fixture.communities);
-  } catch (const std::runtime_error& error) {
-    return error.what();
-  }
-  ADD_FAILURE() << "snapshot loader accepted corrupt input";
-  return "";
+/// Writes `blob` to a file named after the running test.
+std::string write_blob(const std::string& blob) {
+  const std::string path =
+      ::testing::TempDir() + "/corpus_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".bin";
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  return path;
 }
 
-std::string attach_error(const Fixture& fixture, const std::string& blob,
-                         const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
+/// The diagnostic a verifying attach of `blob` fails with.
+std::string attach_error(const Fixture& fixture, const std::string& blob) {
+  const std::string path = write_blob(blob);
   std::string message;
   try {
     (void)attach_ric_pool_snapshot(path, fixture.graph,
                                    fixture.communities);
-    ADD_FAILURE() << "snapshot attach accepted corrupt input: " << name;
+    ADD_FAILURE() << "snapshot attach accepted corrupt input";
   } catch (const std::runtime_error& error) {
     message = error.what();
   }
@@ -309,38 +295,53 @@ class PoolSnapshotCorpus : public ::testing::Test {
   void patch_header(std::size_t offset, T value) {
     std::memcpy(blob_.data() + offset, &value, sizeof(value));
   }
+
+  /// Reads / overwrites entry `i` of section `section`.
+  template <typename T>
+  T section_entry(int section, std::size_t i) const {
+    T value{};
+    std::memcpy(static_cast<void*>(&value),
+                blob_.data() + Layout(header_of(blob_)).offset[section] +
+                    i * sizeof(T),
+                sizeof(T));
+    return value;
+  }
+  template <typename T>
+  void patch_section(int section, std::size_t i, T value) {
+    std::memcpy(blob_.data() + Layout(header_of(blob_)).offset[section] +
+                    i * sizeof(T),
+                &value, sizeof(T));
+  }
 };
+
+using Pair = std::pair<NodeId, std::uint64_t>;
 
 TEST_F(PoolSnapshotCorpus, BadMagic) {
   blob_[0] = 'X';
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: bad magic (not an imcpool2 snapshot)");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_magic.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: bad magic (not an imcpool2 snapshot)");
 }
 
 TEST_F(PoolSnapshotCorpus, UnsupportedVersion) {
   patch_header<std::uint32_t>(offsetof(PoolSnapshotHeader, version), 9);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: unsupported version 9");
 }
 
 TEST_F(PoolSnapshotCorpus, RngContractMismatch) {
   patch_header<std::uint32_t>(offsetof(PoolSnapshotHeader, rng_contract),
                               kRicSamplerRngContract + 1);
-  const std::string expected =
-      "ric pool snapshot: rng contract mismatch (snapshot " +
-      std::to_string(kRicSamplerRngContract + 1) + ", sampler " +
-      std::to_string(kRicSamplerRngContract) + ")";
-  EXPECT_EQ(streamed_error(fixture_, blob_), expected);
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_rng.bin"), expected);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: rng contract mismatch (snapshot " +
+                std::to_string(kRicSamplerRngContract + 1) + ", sampler " +
+                std::to_string(kRicSamplerRngContract) + ")");
 }
 
 TEST_F(PoolSnapshotCorpus, WrongGraphFingerprint) {
   // Same node count, different weights: only the fingerprint can tell.
   Fixture other;
   other.graph = test::cycle_graph(12, 0.9);
-  EXPECT_EQ(streamed_error(other, blob_),
+  EXPECT_EQ(attach_error(other, blob_),
             "ric pool snapshot: graph fingerprint mismatch");
 }
 
@@ -349,9 +350,7 @@ TEST_F(PoolSnapshotCorpus, WrongCommunityFingerprint) {
   // would silently poison ν/MAF if attach accepted it.
   Fixture other;
   apply_constant_thresholds(other.communities, 3);
-  EXPECT_EQ(streamed_error(other, blob_),
-            "ric pool snapshot: community fingerprint mismatch");
-  EXPECT_EQ(attach_error(other, blob_, "corpus_coms.bin"),
+  EXPECT_EQ(attach_error(other, blob_),
             "ric pool snapshot: community fingerprint mismatch");
 }
 
@@ -359,7 +358,7 @@ TEST_F(PoolSnapshotCorpus, WrongNodeCount) {
   Fixture other;
   other.graph = test::cycle_graph(20, 0.5);
   other.communities = test::chunk_communities(20, 4);
-  EXPECT_EQ(streamed_error(other, blob_),
+  EXPECT_EQ(attach_error(other, blob_),
             "ric pool snapshot: node count does not match the supplied "
             "graph");
 }
@@ -367,7 +366,7 @@ TEST_F(PoolSnapshotCorpus, WrongNodeCount) {
 TEST_F(PoolSnapshotCorpus, EpochWatermarkDisagreesWithSampleCount) {
   patch_header<std::uint64_t>(offsetof(PoolSnapshotHeader, epoch_samples),
                               51);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: epoch watermark disagrees with the sample "
             "count");
 }
@@ -379,49 +378,48 @@ TEST_F(PoolSnapshotCorpus, ForgedRepairsEpochFailsHeaderChecksum) {
   // trusted attach path.
   patch_header<std::uint64_t>(offsetof(PoolSnapshotHeader, epoch_repairs),
                               7);
-  const std::string expected =
-      "ric pool snapshot: header checksum mismatch (tampered or corrupt "
-      "header)";
-  EXPECT_EQ(streamed_error(fixture_, blob_), expected);
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_repairs.bin"), expected);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: header checksum mismatch (tampered or "
+            "corrupt header)");
 
   // Resealed, the same epoch loads fine and surfaces through the pool's
   // watermark — the counter genuinely round-trips.
   reseal_header(blob_);
-  std::istringstream in(blob_, std::ios::binary);
+  const std::string path = write_blob(blob_);
   const RicPool loaded =
-      read_ric_pool_snapshot(in, fixture_.graph, fixture_.communities);
+      attach_ric_pool_snapshot(path, fixture_.graph, fixture_.communities);
   EXPECT_EQ(loaded.grow_epoch().repairs, 7U);
+  std::remove(path.c_str());
 }
 
 TEST_F(PoolSnapshotCorpus, TruncatedHeader) {
   blob_.resize(100);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: truncated header");
 }
 
 TEST_F(PoolSnapshotCorpus, TruncatedArenaSection) {
   blob_.resize(blob_.size() - 64);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: truncated arena section");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_trunc.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: snapshot file size disagrees with its "
             "declared payload");
 }
 
 TEST_F(PoolSnapshotCorpus, TrailingGarbage) {
   blob_ += "garbage";
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: trailing bytes after the last arena "
-            "section");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_trail.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: snapshot file size disagrees with its "
             "declared payload");
 }
 
 TEST_F(PoolSnapshotCorpus, FlippedPayloadByteFailsChecksum) {
-  blob_[200] = static_cast<char>(blob_[200] ^ 0x40);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  // The last byte of the last section (the CSR touches): the checksum
+  // covers the payload through its end.
+  const PoolSnapshotHeader header = header_of(blob_);
+  const Layout layout(header);
+  const std::size_t last = layout.offset[6] + layout.bytes[6] - 1;
+  blob_[last] = static_cast<char>(blob_[last] ^ 0x40);
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: payload checksum mismatch (corrupt "
             "snapshot)");
 }
@@ -429,32 +427,74 @@ TEST_F(PoolSnapshotCorpus, FlippedPayloadByteFailsChecksum) {
 TEST_F(PoolSnapshotCorpus, OutOfRangeCommunityBehindValidChecksum) {
   // Patch a source-community entry out of range AND re-seal the checksum:
   // this must die in deep validation, not slip through as "checksum ok".
-  const Layout layout(header_of(blob_));
-  const CommunityId bogus = 7;
-  std::memcpy(blob_.data() + layout.offset[1], &bogus, sizeof(bogus));
+  patch_section<CommunityId>(1, 0, 7);
   reseal_checksum(blob_);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: sample 0: community id out of range");
-  // The attach path verifies payloads by default, so the same corruption
-  // dies at load time there too.
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_community.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: sample 0: community id out of range");
 }
 
 TEST_F(PoolSnapshotCorpus, TouchingNodeOutOfRangeBehindValidChecksum) {
-  const Layout layout(header_of(blob_));
-  const NodeId bogus = 99;  // > node_count = 12
-  std::memcpy(blob_.data() + layout.offset[4], &bogus, sizeof(bogus));
+  patch_section<NodeId>(4, 0, 99);  // > node_count = 12
   reseal_checksum(blob_);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: sample 0: touching node out of range");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_node.bin"),
-            "ric pool snapshot: sample 0: touching node out of range");
+}
+
+TEST_F(PoolSnapshotCorpus, ZeroMemberMaskBehindValidChecksum) {
+  // A touch that reaches no member is never emitted by the sampler; the
+  // CSR merge and the evaluators assume every stored mask is non-empty.
+  Pair pair = section_entry<Pair>(4, 0);
+  pair.second = 0;
+  patch_section<Pair>(4, 0, pair);
+  reseal_checksum(blob_);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: sample 0: empty member mask");
+}
+
+TEST_F(PoolSnapshotCorpus, MaskWiderThanPopulationBehindValidChecksum) {
+  // Communities have 3 members, so only mask bits 0..2 are members. A
+  // phantom bit would be popcounted toward h_g by every evaluator.
+  Pair pair = section_entry<Pair>(4, 0);
+  pair.second |= 0b1000;
+  patch_section<Pair>(4, 0, pair);
+  reseal_checksum(blob_);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: sample 0: member mask wider than the "
+            "community population");
+}
+
+TEST_F(PoolSnapshotCorpus, UnsortedOrDuplicateTouchesBehindValidChecksum) {
+  // sample() and the CSR merge rely on strictly ascending touching nodes
+  // within a sample; that also rules out duplicates.
+  std::uint32_t g = 0;
+  while (section_entry<std::uint64_t>(3, g + 1) -
+             section_entry<std::uint64_t>(3, g) <
+         2) {
+    ++g;
+    ASSERT_LT(g, 50U) << "fixture has no sample with two touches";
+  }
+  const std::uint64_t begin = section_entry<std::uint64_t>(3, g);
+  const Pair first = section_entry<Pair>(4, begin);
+  const Pair second = section_entry<Pair>(4, begin + 1);
+  const std::string expected = "ric pool snapshot: sample " +
+                               std::to_string(g) +
+                               ": touching nodes not strictly ascending";
+  const std::string pristine = blob_;
+
+  patch_section<Pair>(4, begin, second);  // swapped
+  patch_section<Pair>(4, begin + 1, first);
+  reseal_checksum(blob_);
+  EXPECT_EQ(attach_error(fixture_, blob_), expected);
+
+  blob_ = pristine;
+  patch_section<Pair>(4, begin + 1, first);  // duplicated
+  reseal_checksum(blob_);
+  EXPECT_EQ(attach_error(fixture_, blob_), expected);
 }
 
 TEST_F(PoolSnapshotCorpus, FlippedPayloadByteFailsAttachChecksum) {
   blob_[200] = static_cast<char>(blob_[200] ^ 0x40);
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_attach_checksum.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: payload checksum mismatch (corrupt "
             "snapshot)");
 }
@@ -464,39 +504,28 @@ TEST_F(PoolSnapshotCorpus, NonMonotoneSampleOffsetsBehindValidChecksum) {
   // validator itself (the monotone check ran a step too late): the
   // sample-0 content scan read pairs[0, huge) out of bounds. Now the
   // endpoints + monotonicity pre-pass rejects it before any indexing.
-  const Layout layout(header_of(blob_));
-  const std::uint64_t huge = ~std::uint64_t{0};
-  std::memcpy(blob_.data() + layout.offset[3] + sizeof(std::uint64_t),
-              &huge, sizeof(huge));
+  patch_section<std::uint64_t>(3, 1, ~std::uint64_t{0});
   reseal_checksum(blob_);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: sample 1: offsets not monotone");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_monotone.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: sample 1: offsets not monotone");
 }
 
 TEST_F(PoolSnapshotCorpus, SampleOffsetsMustSpanTheArena) {
   // A final offset short of the arena would leave pairs unreachable (and
   // an oversized one would unbound every span): both are endpoint errors.
-  PoolSnapshotHeader header = header_of(blob_);
-  const Layout layout(header);
-  const std::uint64_t bogus_end = header.sample_pair_count + 1;
-  std::memcpy(blob_.data() + layout.offset[3] +
-                  header.sample_count * sizeof(std::uint64_t),
-              &bogus_end, sizeof(bogus_end));
+  const PoolSnapshotHeader header = header_of(blob_);
+  patch_section<std::uint64_t>(3, header.sample_count,
+                               header.sample_pair_count + 1);
   reseal_checksum(blob_);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: sample-major offsets do not span the "
             "sample arena");
 }
 
 TEST_F(PoolSnapshotCorpus, NonMonotoneTouchOffsetsBehindValidChecksum) {
-  const Layout layout(header_of(blob_));
-  const std::uint64_t huge = ~std::uint64_t{0};
-  std::memcpy(blob_.data() + layout.offset[5] + sizeof(std::uint64_t),
-              &huge, sizeof(huge));
+  patch_section<std::uint64_t>(5, 1, ~std::uint64_t{0});
   reseal_checksum(blob_);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: csr: touch offsets not monotone");
 }
 
@@ -507,24 +536,16 @@ TEST_F(PoolSnapshotCorpus, HugePairCountOverflowsTheLayout) {
   patch_header<std::uint64_t>(
       offsetof(PoolSnapshotHeader, sample_pair_count), std::uint64_t{1}
                                                            << 60);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: header counts overflow the section layout");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_overflow.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: header counts overflow the section layout");
 }
 
 TEST_F(PoolSnapshotCorpus, TrustedAttachSkipsContentButBoundsOffsets) {
   // kTrustPayload skips the O(pool) content checks (the out-of-range
   // community loads)...
-  const Layout layout(header_of(blob_));
-  const CommunityId bogus = 7;
-  std::memcpy(blob_.data() + layout.offset[1], &bogus, sizeof(bogus));
+  patch_section<CommunityId>(1, 0, 7);
   reseal_checksum(blob_);
-  const std::string path = ::testing::TempDir() + "/corpus_trusted.bin";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(blob_.data(), static_cast<std::streamsize>(blob_.size()));
-  }
+  const std::string path = write_blob(blob_);
   const RicPool trusted = attach_ric_pool_snapshot(
       path, fixture_.graph, fixture_.communities,
       SnapshotTrust::kTrustPayload);
@@ -533,17 +554,9 @@ TEST_F(PoolSnapshotCorpus, TrustedAttachSkipsContentButBoundsOffsets) {
 
   // ...but restore_snapshot still rejects non-monotone offsets, so even a
   // trusted attach cannot produce wraparound spans during solves.
-  std::string bent = blob_;
-  const std::uint64_t huge = ~std::uint64_t{0};
-  std::memcpy(bent.data() + layout.offset[3] + sizeof(std::uint64_t),
-              &huge, sizeof(huge));
-  reseal_checksum(bent);
-  const std::string bent_path =
-      ::testing::TempDir() + "/corpus_trusted_monotone.bin";
-  {
-    std::ofstream out(bent_path, std::ios::binary | std::ios::trunc);
-    out.write(bent.data(), static_cast<std::streamsize>(bent.size()));
-  }
+  patch_section<std::uint64_t>(3, 1, ~std::uint64_t{0});
+  reseal_checksum(blob_);
+  const std::string bent_path = write_blob(blob_);
   try {
     (void)attach_ric_pool_snapshot(bent_path, fixture_.graph,
                                    fixture_.communities,
@@ -599,55 +612,6 @@ TEST(PoolSnapshotEngine, AttachPoolRejectsModelMismatch) {
   // Failure left the engine's own pool untouched.
   EXPECT_EQ(engine.pool().size(), 0U);
   std::remove(path.c_str());
-}
-
-TEST(PoolSnapshotEngine, AttachPoolHonorsConfiguredBackend) {
-  // Attaching used to leave the pool on the loaded arenas' backend (kMmap
-  // for snapshots), silently overriding --pool-backend for all later
-  // growth. The configured backend must survive the attach.
-  const Fixture fixture;
-  RicPool original(fixture.graph, fixture.communities);
-  original.grow(40, 9);
-  const std::string path = temp_snapshot(original, "imc_engine_backend.bin");
-
-  ImcafConfig ram_config;  // pool_backend defaults to kRam
-  ImcEngine engine(fixture.graph, fixture.communities, ram_config);
-  engine.attach_pool(path);
-  EXPECT_EQ(engine.pool().backend(), ArenaBackend::kRam);
-  EXPECT_TRUE(engine.pool().attached());
-
-  ImcafConfig mmap_config;
-  mmap_config.pool_backend = ArenaBackend::kMmap;
-  ImcEngine mmap_engine(fixture.graph, fixture.communities, mmap_config);
-  mmap_engine.attach_pool(path, SnapshotTrust::kTrustPayload);
-  EXPECT_EQ(mmap_engine.pool().backend(), ArenaBackend::kMmap);
-
-  // The text v1 path routes the backend through load_ric_pool too.
-  const std::string text = ::testing::TempDir() + "/imc_engine_backend.txt";
-  save_ric_pool(text, original);
-  mmap_engine.attach_pool(text);
-  EXPECT_EQ(mmap_engine.pool().backend(), ArenaBackend::kMmap);
-  EXPECT_FALSE(mmap_engine.pool().attached());
-
-  std::remove(path.c_str());
-  std::remove(text.c_str());
-}
-
-TEST(PoolSnapshotEngine, MmapBackendConfigIsBitIdenticalToRam) {
-  const Fixture fixture;
-  const auto solver = make_maxr_solver(MaxrAlgorithm::kUbg, {});
-  ImcafConfig ram_config;
-  ram_config.max_samples = 300;
-  ImcafConfig mmap_config = ram_config;
-  mmap_config.pool_backend = ArenaBackend::kMmap;
-
-  ImcEngine ram_engine(fixture.graph, fixture.communities, ram_config);
-  ImcEngine mmap_engine(fixture.graph, fixture.communities, mmap_config);
-  const ImcafResult ram_result = ram_engine.solve(2, *solver);
-  const ImcafResult mmap_result = mmap_engine.solve(2, *solver);
-  EXPECT_EQ(ram_result.seeds, mmap_result.seeds);
-  EXPECT_DOUBLE_EQ(ram_result.c_hat, mmap_result.c_hat);
-  expect_pools_bit_identical(mmap_engine.pool(), ram_engine.pool());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Equivalence tests for the flat CSR/SoA pool layout: after any interleaving
-// of grow() (serial and parallel) and append(), the CSR inverted index, the
+// of serial and parallel grow() calls, the CSR inverted index, the
 // sample-major arena, the appearance counts, and the community frequencies
 // must match a straightforward nested-vector reference rebuilt from the
 // materialized per-sample views. Also pins the uint32 sample-id overflow
@@ -110,29 +110,27 @@ class RicPoolCsrTest : public ::testing::Test {
   CommunitySet communities_ = make_communities();
 };
 
-TEST_F(RicPoolCsrTest, InterleavedGrowAndAppendMatchesReference) {
+TEST_F(RicPoolCsrTest, InterleavedSerialAndParallelGrowthMatchesReference) {
   RicPool pool(graph_, communities_);
-  RicSampler sampler(graph_, communities_);
-  Rng rng(7);
 
-  // Interleave serial growth, parallel growth, and single appends; the
-  // index must match the reference after every step, exercising both the
-  // eager merge (grow) and the materialize-on-demand path (append).
+  // Interleave serial and parallel growth, including single-sample and
+  // back-to-back batches; the eagerly merged index must match the
+  // reference after every step.
   pool.grow(60, 11, /*parallel=*/false);
   expect_matches_reference(pool);
 
-  for (int i = 0; i < 17; ++i) pool.append(sampler.generate(rng));
+  pool.grow(17, 11, /*parallel=*/false);
   expect_matches_reference(pool);
 
   pool.grow(90, 11, /*parallel=*/true);
   expect_matches_reference(pool);
 
-  for (int i = 0; i < 5; ++i) pool.append(sampler.generate(rng));
-  pool.grow(40, 23, /*parallel=*/true);  // merge with appends pending
+  pool.grow(1, 23, /*parallel=*/true);
+  pool.grow(40, 23, /*parallel=*/true);
   expect_matches_reference(pool);
 
   pool.grow(25, 31, /*parallel=*/false);
-  for (int i = 0; i < 9; ++i) pool.append(sampler.generate(rng));
+  pool.grow(9, 31, /*parallel=*/true);
   expect_matches_reference(pool);
 }
 
@@ -172,16 +170,14 @@ TEST_F(RicPoolCsrTest, GrowEpochWatermarksEveryGrowthPath) {
   EXPECT_EQ(pool.samples_since(after_serial), 0U);
   EXPECT_FALSE(start == after_serial);
 
-  // append() and parallel grow() advance the watermark too.
-  RicSampler sampler(graph_, communities_);
-  Rng rng(7);
-  pool.append(sampler.generate(rng));
+  // A one-sample grow() and parallel grow() advance the watermark too.
+  pool.grow(1, 11, /*parallel=*/false);
   EXPECT_EQ(pool.samples_since(after_serial), 1U);
-  const RicPool::PoolEpoch after_append = pool.grow_epoch();
-  EXPECT_FALSE(after_append == after_serial);
+  const RicPool::PoolEpoch after_single = pool.grow_epoch();
+  EXPECT_FALSE(after_single == after_serial);
 
   pool.grow(40, 23, /*parallel=*/true);
-  EXPECT_EQ(pool.samples_since(after_append), 40U);
+  EXPECT_EQ(pool.samples_since(after_single), 40U);
   EXPECT_EQ(pool.samples_since(start), 101U);
   EXPECT_TRUE(pool.grow_epoch() == pool.grow_epoch());
 }
@@ -189,9 +185,7 @@ TEST_F(RicPoolCsrTest, GrowEpochWatermarksEveryGrowthPath) {
 TEST_F(RicPoolCsrTest, SamplesSinceRejectsForeignOrNewerEpochs) {
   RicPool pool(graph_, communities_);
   pool.grow(50, 11, /*parallel=*/false);
-  RicSampler sampler(graph_, communities_);
-  Rng rng(7);
-  for (int i = 0; i < 3; ++i) pool.append(sampler.generate(rng));
+  for (int i = 0; i < 3; ++i) pool.grow(1, 11, /*parallel=*/false);
 
   // An epoch from a pool with MORE samples than this one cannot be ours.
   RicPool bigger(graph_, communities_);

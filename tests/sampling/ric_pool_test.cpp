@@ -138,17 +138,14 @@ TEST(RicPool, CommunityFrequencyCountsSources) {
 }
 
 TEST(RicPool, CommunityFrequencyCountersMatchRecount) {
-  // The O(1) counters maintained in grow/append must agree with a full
-  // recount of the sample list, across multiple growth rounds and appends.
+  // The O(1) counters maintained during growth must agree with a full
+  // recount of the sample list, across serial and parallel growth rounds.
   const Graph graph = test::path_graph(8, 0.3);
   CommunitySet communities = test::chunk_communities(8, 4);
   RicPool pool(graph, communities);
   pool.grow(500, 31);
   pool.grow(700, 31);  // second round exercises incremental growth
-  RicSample manual;
-  manual.community = 1;
-  manual.threshold = 1;
-  pool.append(manual);
+  pool.grow(9, 31, /*parallel=*/false);
 
   std::vector<std::uint32_t> recount(communities.size(), 0);
   for (const CommunityId c : pool.source_communities()) ++recount[c];
@@ -180,68 +177,8 @@ TEST(RicPool, EmptyPoolScoresZero) {
   EXPECT_DOUBLE_EQ(pool.nu(seeds), 0.0);
 }
 
-// Regression tests for the append()-after-grow() audit: the deferred
-// materialize-on-demand index must stay sound for hand-built samples.
-
-TEST(RicPool, AppendZeroTouchSampleAfterGrowKeepsIndexConsistent) {
-  const Graph graph = test::path_graph(4, 0.5);
-  const CommunitySet communities = test::chunk_communities(4, 2);
-  RicPool pool(graph, communities);
-  pool.grow(20, 7);
-  const std::uint32_t frequency_before = pool.community_frequency(0);
-
-  // A realization can reach no node at all; such samples carry an empty
-  // touching list and must flow through append + the deferred CSR merge
-  // without corrupting offsets or counters.
-  RicSample empty;
-  empty.community = 0;
-  empty.threshold = 1;
-  empty.member_count = 2;
-  pool.append(empty);
-
-  ASSERT_EQ(pool.size(), 21U);
-  EXPECT_EQ(pool.sample(20).touching.size(), 0U);
-  EXPECT_EQ(pool.community_frequency(0), frequency_before + 1);
-  // The zero-touch sample can never be influenced; scores still work.
-  const std::vector<NodeId> seeds{0, 1, 2, 3};
-  EXPECT_LE(pool.influenced_count(seeds), 20U);
-}
-
-TEST(RicPool, AppendRejectsMaskBitsBeyondPopulation) {
-  const Graph graph = test::path_graph(4, 0.5);
-  const CommunitySet communities = test::chunk_communities(4, 2);
-  RicPool pool(graph, communities);
-  // Community 0 has population 2, so only mask bits 0 and 1 are members.
-  // A phantom bit would be popcounted toward h_g by every evaluator.
-  RicSample phantom;
-  phantom.community = 0;
-  phantom.threshold = 2;
-  phantom.member_count = 2;
-  phantom.touching = {{0, 0b100ull}};
-  EXPECT_THROW(pool.append(phantom), std::invalid_argument);
-}
-
-TEST(RicPool, AppendRejectsUnsortedOrDuplicateTouches) {
-  const Graph graph = test::path_graph(4, 0.5);
-  const CommunitySet communities = test::chunk_communities(4, 2);
-  RicPool pool(graph, communities);
-  RicSample duplicate;
-  duplicate.community = 0;
-  duplicate.threshold = 1;
-  duplicate.member_count = 2;
-  duplicate.touching = {{1, 1ull}, {1, 2ull}};
-  EXPECT_THROW(pool.append(duplicate), std::invalid_argument);
-
-  RicSample unsorted;
-  unsorted.community = 0;
-  unsorted.threshold = 1;
-  unsorted.member_count = 2;
-  unsorted.touching = {{2, 1ull}, {0, 1ull}};
-  EXPECT_THROW(pool.append(unsorted), std::invalid_argument);
-}
-
 TEST(RicPool, EmptyCommunitiesAreRejectedBeforeTheyReachAPool) {
-  // append() never has to guard against population-zero communities:
+  // Pools never have to guard against population-zero communities:
   // CommunitySet refuses to construct them in the first place.
   EXPECT_THROW(CommunitySet(4, {{0, 1}, {}}), std::invalid_argument);
 }

@@ -4,56 +4,43 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 namespace imc {
 namespace {
 
-TEST(MmapStorage, AnonymousMappingIsZeroFilledAndWritable) {
-  MmapStorage storage = MmapStorage::anonymous(100);
-  ASSERT_TRUE(storage.valid());
-  EXPECT_TRUE(storage.writable());
-  EXPECT_GE(storage.size(), 100U);
-  EXPECT_EQ(storage.size() % 64, 0U);
-  for (std::size_t i = 0; i < storage.size(); ++i) {
-    EXPECT_EQ(std::to_integer<int>(storage.data()[i]), 0) << "byte " << i;
+/// Writes `bytes` to a fresh file under the test temp dir and maps it
+/// read-only — the only kind of mapping MmapStorage makes.
+std::shared_ptr<const MmapStorage> map_bytes(const std::string& name,
+                                             const void* bytes,
+                                             std::size_t size) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(static_cast<const char*>(bytes),
+              static_cast<std::streamsize>(size));
   }
-  storage.data()[0] = std::byte{42};
-  EXPECT_EQ(std::to_integer<int>(storage.data()[0]), 42);
-}
-
-TEST(MmapStorage, GrowPreservesContentsAcrossRemap) {
-  MmapStorage storage = MmapStorage::anonymous(4096);
-  for (std::size_t i = 0; i < 4096; ++i) {
-    storage.data()[i] = static_cast<std::byte>(i % 251);
-  }
-  // Large enough that the kernel may well have to move the mapping — the
-  // contract is "contents travel", wherever the base ends up.
-  storage.grow(1 << 22);
-  ASSERT_GE(storage.size(), std::size_t{1} << 22);
-  for (std::size_t i = 0; i < 4096; ++i) {
-    ASSERT_EQ(std::to_integer<int>(storage.data()[i]),
-              static_cast<int>(i % 251))
-        << "byte " << i << " lost in grow";
-  }
+  auto map =
+      std::make_shared<const MmapStorage>(MmapStorage::open_readonly(path));
+  std::remove(path.c_str());  // the mapping pins the inode
+  return map;
 }
 
 TEST(MmapStorage, FileBackedMappingPersistsToDisk) {
   const std::string path = ::testing::TempDir() + "/imc_mmap_file_test.bin";
   {
-    MmapStorage storage = MmapStorage::create_file(path, 256);
-    ASSERT_TRUE(storage.valid());
-    std::memcpy(storage.data(), "persisted-through-the-page-cache", 32);
-  }  // unmap + close flush the shared mapping
-  MmapStorage reopened = MmapStorage::open_readonly(path);
-  ASSERT_TRUE(reopened.valid());
-  EXPECT_FALSE(reopened.writable());
-  ASSERT_GE(reopened.size(), 32U);
-  EXPECT_EQ(std::memcmp(reopened.data(),
-                        "persisted-through-the-page-cache", 32),
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "persisted-through-the-page-cache";
+  }
+  const MmapStorage mapped = MmapStorage::open_readonly(path);
+  ASSERT_TRUE(mapped.valid());
+  ASSERT_EQ(mapped.size(), 32U);
+  EXPECT_EQ(std::memcmp(mapped.data(), "persisted-through-the-page-cache", 32),
             0);
   std::remove(path.c_str());
 }
@@ -63,27 +50,15 @@ TEST(MmapStorage, OpenReadonlyRejectsMissingFile) {
                std::runtime_error);
 }
 
-TEST(MmapStorage, GrowOnReadonlyMappingThrows) {
-  const std::string path = ::testing::TempDir() + "/imc_mmap_ro_test.bin";
-  { (void)MmapStorage::create_file(path, 64); }
-  MmapStorage storage = MmapStorage::open_readonly(path);
-  EXPECT_THROW(storage.grow(128), std::runtime_error);
+TEST(MmapStorage, OpenReadonlyRejectsEmptyFile) {
+  const std::string path = ::testing::TempDir() + "/imc_mmap_empty_test.bin";
+  { std::ofstream out(path, std::ios::binary | std::ios::trunc); }
+  EXPECT_THROW((void)MmapStorage::open_readonly(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
-class ArenaVectorBackends
-    : public ::testing::TestWithParam<ArenaBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, ArenaVectorBackends,
-                         ::testing::Values(ArenaBackend::kRam,
-                                           ArenaBackend::kMmap),
-                         [](const auto& info) {
-                           return info.param == ArenaBackend::kRam ? "Ram"
-                                                                   : "Mmap";
-                         });
-
-TEST_P(ArenaVectorBackends, PushBackGrowthPreservesContents) {
-  ArenaVector<std::uint64_t> arena(GetParam());
+TEST(ArenaVector, PushBackGrowthPreservesContents) {
+  ArenaVector<std::uint64_t> arena;
   for (std::uint64_t i = 0; i < 10'000; ++i) arena.push_back(i * i);
   ASSERT_EQ(arena.size(), 10'000U);
   for (std::uint64_t i = 0; i < 10'000; ++i) {
@@ -92,8 +67,8 @@ TEST_P(ArenaVectorBackends, PushBackGrowthPreservesContents) {
   EXPECT_EQ(arena.back(), 9'999ULL * 9'999ULL);
 }
 
-TEST_P(ArenaVectorBackends, VectorShapedOperations) {
-  ArenaVector<int> arena(GetParam());
+TEST(ArenaVector, VectorShapedOperations) {
+  ArenaVector<int> arena;
   arena.assign(5, 7);
   ASSERT_EQ(arena.size(), 5U);
   EXPECT_EQ(arena[4], 7);
@@ -110,10 +85,10 @@ TEST_P(ArenaVectorBackends, VectorShapedOperations) {
   EXPECT_EQ(arena.span()[0], 1);
 }
 
-TEST_P(ArenaVectorBackends, PairElementsSurviveGrowth) {
+TEST(ArenaVector, PairElementsSurviveGrowth) {
   // The sample arena's element type — the one that motivated kArenaSafe
   // (libstdc++ std::pair is not trivially copyable, but is memcpy-safe).
-  ArenaVector<std::pair<std::uint32_t, std::uint64_t>> arena(GetParam());
+  ArenaVector<std::pair<std::uint32_t, std::uint64_t>> arena;
   for (std::uint32_t i = 0; i < 5'000; ++i) {
     arena.emplace_back(i, ~std::uint64_t{i});
   }
@@ -123,8 +98,8 @@ TEST_P(ArenaVectorBackends, PairElementsSurviveGrowth) {
   }
 }
 
-TEST_P(ArenaVectorBackends, MoveTransfersOwnership) {
-  ArenaVector<int> arena(GetParam());
+TEST(ArenaVector, MoveTransfersOwnership) {
+  ArenaVector<int> arena;
   arena.assign(100, 9);
   const int* before = arena.data();
   ArenaVector<int> moved = std::move(arena);
@@ -134,28 +109,14 @@ TEST_P(ArenaVectorBackends, MoveTransfersOwnership) {
   EXPECT_EQ(arena.size(), 0U);  // NOLINT(bugprone-use-after-move)
 }
 
-TEST(ArenaVector, RamAndMmapProduceIdenticalContents) {
-  ArenaVector<std::uint64_t> ram(ArenaBackend::kRam);
-  ArenaVector<std::uint64_t> mapped(ArenaBackend::kMmap);
-  for (std::uint64_t i = 0; i < 4'097; ++i) {
-    ram.push_back(i * 2654435761ULL);
-    mapped.push_back(i * 2654435761ULL);
-  }
-  ASSERT_EQ(ram.size(), mapped.size());
-  EXPECT_EQ(std::memcmp(ram.data(), mapped.data(),
-                        ram.size() * sizeof(std::uint64_t)),
-            0);
-}
-
 TEST(ArenaVector, BorrowedViewServesReadsZeroCopy) {
-  auto map = std::make_shared<const MmapStorage>(MmapStorage::anonymous(
-      64 * sizeof(std::uint64_t)));
-  auto* slab =
-      reinterpret_cast<std::uint64_t*>(const_cast<std::byte*>(map->data()));
-  std::iota(slab, slab + 64, 100);
+  std::uint64_t values[64];
+  std::iota(values, values + 64, 100);
+  const auto map = map_bytes("imc_arena_view.bin", values, sizeof(values));
+  const auto* slab = reinterpret_cast<const std::uint64_t*>(map->data());
 
-  ArenaVector<std::uint64_t> view = ArenaVector<std::uint64_t>::borrowed(
-      slab, 64, map, ArenaBackend::kRam);
+  ArenaVector<std::uint64_t> view =
+      ArenaVector<std::uint64_t>::borrowed(slab, 64, map);
   EXPECT_TRUE(view.is_borrowed());
   // Const access is genuinely zero-copy (non-const data() would
   // copy-on-write materialize — that is the next test).
@@ -165,15 +126,14 @@ TEST(ArenaVector, BorrowedViewServesReadsZeroCopy) {
 }
 
 TEST(ArenaVector, BorrowedViewMaterializesOnFirstMutation) {
-  auto map = std::make_shared<const MmapStorage>(MmapStorage::anonymous(
-      16 * sizeof(std::uint64_t)));
-  auto* slab =
-      reinterpret_cast<std::uint64_t*>(const_cast<std::byte*>(map->data()));
-  std::iota(slab, slab + 16, 0);
+  std::uint64_t values[16];
+  std::iota(values, values + 16, 0);
+  auto map = map_bytes("imc_arena_cow.bin", values, sizeof(values));
+  const auto* slab = reinterpret_cast<const std::uint64_t*>(map->data());
   std::weak_ptr<const MmapStorage> watcher = map;
 
-  ArenaVector<std::uint64_t> view = ArenaVector<std::uint64_t>::borrowed(
-      slab, 16, std::move(map), ArenaBackend::kRam);
+  ArenaVector<std::uint64_t> view =
+      ArenaVector<std::uint64_t>::borrowed(slab, 16, std::move(map));
   view.push_back(16);  // first mutation: copy-on-write
   EXPECT_FALSE(view.is_borrowed());
   EXPECT_NE(view.data(), slab);
@@ -184,11 +144,10 @@ TEST(ArenaVector, BorrowedViewMaterializesOnFirstMutation) {
 }
 
 TEST(ArenaVector, BorrowedKeepaliveOutlivesTheSourceHandle) {
-  auto map = std::make_shared<const MmapStorage>(MmapStorage::anonymous(
-      8 * sizeof(std::uint64_t)));
-  auto* slab =
-      reinterpret_cast<std::uint64_t*>(const_cast<std::byte*>(map->data()));
-  slab[7] = 777;
+  std::uint64_t values[8] = {};
+  values[7] = 777;
+  auto map = map_bytes("imc_arena_keepalive.bin", values, sizeof(values));
+  const auto* slab = reinterpret_cast<const std::uint64_t*>(map->data());
   ArenaVector<std::uint64_t> view =
       ArenaVector<std::uint64_t>::borrowed(slab, 8, map);
   map.reset();  // the view's keepalive must keep the mapping alive

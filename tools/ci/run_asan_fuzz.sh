@@ -24,9 +24,11 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # differential checks can't see. halt_on_error does the same for UBSan.
 # The engine label rides along: CoverageState::extend and the warm-start
 # carriers shuffle heap buffers that ASan should watch too. The io label
-# rides along for the same reason: mmap arena growth, copy-on-write
-# materialization and the snapshot loaders move raw bytes with lifetimes
-# that the sanitizers — not the differential checks — are built to police.
+# rides along for the same reason: copy-on-write materialization of
+# attached snapshots and the snapshot attach itself move raw bytes with
+# lifetimes that the sanitizers — not the differential checks — are built
+# to police, and the text-parser byte-mutation corpora (delta streams,
+# communities files) feed them hostile input.
 # The delta label rides along: in-place sample repair rewrites arena spans
 # and splices CSR adjacency in place — exactly the kind of off-by-one
 # surface ASan exists for (the fuzz label's delta_vs_rebuild check covers

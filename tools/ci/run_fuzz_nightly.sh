@@ -21,9 +21,10 @@ cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "${jobs}" \
   --target imc_fuzz_tests --target imc_io_tests
 
-# The io label (pool formats, mmap arenas, corrupted-file corpus) runs
-# alongside the deep fuzz sweep: the pool_roundtrip check exercises the
-# same loaders on random instances, and a nightly regression in either
-# should surface from both angles.
+# The io label (the pool snapshot, arena storage, corrupted-file corpus
+# and text-parser mutation corpora) runs alongside the deep fuzz sweep:
+# the pool_roundtrip check exercises the same snapshot attach on random
+# instances, and a nightly regression in either should surface from both
+# angles.
 IMC_FUZZ_SEED="${seed}" IMC_FUZZ_CASES="${cases}" \
   ctest --test-dir "${build_dir}" -L 'fuzz|io' --output-on-failure

@@ -8,7 +8,6 @@
 //                       [--k K] [--max-samples N] [--model ic|lt]
 //                       [--parallel] [--threads N] [--time-budget-s S]
 //                       [--metrics-json FILE] [--no-warm-start]
-//                       [--pool-backend ram|mmap]
 //                       [--save-pool FILE]
 //                       [--load-pool FILE [--trust-pool]]
 //                       [--apply-deltas FILE]
@@ -20,6 +19,7 @@
 // Graphs come either from the synthetic Table-I stand-ins (--dataset) or a
 // SNAP edge-list file (--graph; weighted-cascade IC probabilities applied).
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -40,15 +40,15 @@ using namespace imc;
 constexpr std::string_view kKnownFlags[] = {
     "algo", "apply-deltas", "communities", "dataset", "graph", "k",
     "load-pool", "max-samples", "method", "metrics-json", "model",
-    "no-warm-start", "parallel", "parallel-sampling", "pool-backend",
-    "regime", "save", "save-pool", "scale", "seed", "seeds", "simulations",
+    "no-warm-start", "parallel", "parallel-sampling", "regime", "save",
+    "save-pool", "scale", "seed", "seeds", "simulations",
     "size-cap", "threads", "threshold", "threshold-fraction",
     "time-budget-s", "trust-pool", "undirected"};
 
 /// Flags only `solve` reads.
 constexpr std::string_view kSolveOnlyFlags[] = {
-    "time-budget-s", "metrics-json", "no-warm-start", "pool-backend",
-    "save-pool", "load-pool", "trust-pool", "apply-deltas"};
+    "time-budget-s", "metrics-json", "no-warm-start", "save-pool",
+    "load-pool", "trust-pool", "apply-deltas"};
 
 /// A non-negative count flag (k, sample caps, thread and simulation
 /// counts): a negative or oversized value is a UsageError, never a
@@ -83,13 +83,8 @@ Graph load_graph(const ArgParser& args) {
 
 CommunitySet load_communities(const ArgParser& args, const Graph& graph) {
   if (args.has("communities")) {
-    CommunitySet loaded =
-        imc::load_communities(args.get_string("communities", ""));
-    if (loaded.node_count() != graph.node_count()) {
-      throw std::invalid_argument(
-          "--communities file does not match the graph's node count");
-    }
-    return loaded;
+    return imc::load_communities(args.get_string("communities", ""),
+                                 graph.node_count());
   }
   CommunityBuildConfig config;
   const std::string method = args.get_string("method", "louvain");
@@ -125,14 +120,27 @@ DiffusionModel load_model(const ArgParser& args) {
   throw std::invalid_argument("unknown --model " + model);
 }
 
-std::vector<NodeId> parse_seed_list(const std::string& text) {
+/// `--seeds 1,2,3`: every token must be a node id of `graph`; anything
+/// else is a UsageError naming the token.
+std::vector<NodeId> parse_seed_list(const std::string& text,
+                                    const Graph& graph) {
   std::vector<NodeId> seeds;
   std::stringstream stream(text);
   std::string token;
   while (std::getline(stream, token, ',')) {
-    if (!token.empty()) {
-      seeds.push_back(static_cast<NodeId>(std::stoul(token)));
+    if (token.empty()) continue;
+    NodeId v = 0;
+    const char* end = token.data() + token.size();
+    const auto [stop, error] = std::from_chars(token.data(), end, v);
+    if (error != std::errc() || stop != end) {
+      throw UsageError("--seeds expects comma-separated node ids, got '" +
+                       token + "'");
     }
+    if (v >= graph.node_count()) {
+      throw UsageError("--seeds names node " + token + ", but the graph has " +
+                       std::to_string(graph.node_count()) + " nodes");
+    }
+    seeds.push_back(v);
   }
   return seeds;
 }
@@ -231,14 +239,6 @@ int cmd_solve(const ArgParser& args) {
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
   config.parallel_sampling = args.get_bool("parallel-sampling", true);
   config.warm_start = !args.get_bool("no-warm-start", false);
-  const std::string backend = args.get_string("pool-backend", "ram");
-  if (backend == "ram") {
-    config.pool_backend = ArenaBackend::kRam;
-  } else if (backend == "mmap") {
-    config.pool_backend = ArenaBackend::kMmap;
-  } else {
-    throw UsageError("--pool-backend must be ram or mmap");
-  }
 
   const double time_budget = args.get_double("time-budget-s", 0.0);
   if (args.has("time-budget-s") && !(time_budget > 0.0)) {
@@ -388,9 +388,9 @@ int cmd_simulate(const ArgParser& args) {
   mc.simulations =
       static_cast<std::uint32_t>(get_count(args, "simulations", 10000));
   mc.model = load_model(args);
-  const std::vector<NodeId> seeds =
-      parse_seed_list(args.get_string("seeds", "0"));
   const Graph graph = load_graph(args);
+  const std::vector<NodeId> seeds =
+      parse_seed_list(args.get_string("seeds", "0"), graph);
   const CommunitySet communities = load_communities(args, graph);
   std::cout << "seeds: " << seeds.size() << "\n"
             << "expected spread:  "
@@ -424,12 +424,10 @@ void print_usage() {
       "  --metrics-json F    write per-stage engine telemetry as JSON to F\n"
       "  --no-warm-start     cold MAXR solve every doubling stage\n"
       "                      (results are bit-identical; for benchmarking)\n"
-      "  --pool-backend B    ram (default) or mmap arena storage for the\n"
-      "                      RIC pool (bit-identical content either way)\n"
       "  --save-pool F       write the final pool as a binary v3 snapshot\n"
-      "  --load-pool F       start from a saved pool (binary snapshots are\n"
-      "                      attached zero-copy via mmap and fully verified\n"
-      "                      by default; text v1 accepted)\n"
+      "  --load-pool F       start from a binary v3 snapshot written by\n"
+      "                      --save-pool (attached zero-copy via mmap and\n"
+      "                      fully verified by default)\n"
       "  --trust-pool        skip the O(pool) checksum + payload checks on\n"
       "                      --load-pool (for snapshots this host wrote;\n"
       "                      attach cost becomes independent of pool size)\n"
