@@ -459,17 +459,9 @@ void BM_CelfGreedyNuSelectHuge(benchmark::State& state) {
 BENCHMARK(BM_CelfGreedyNuSelectHuge)->Arg(0)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// End-to-end IMCAF: Arg 0 solves cold at every doubling stage
-// (warm_start=false), Arg 1 warm-starts the solver across stages via
-// MaxrSolver::resume (the default). Outputs are bit-identical; the
-// solver_seconds counter isolates the MAXR time the warm start saves —
-// the acceptance metric for the staged engine is its cold/warm ratio.
-// Hub-structured fixture for the warm-start measurement: a BA graph under
-// the weighted cascade keeps the greedy prefix stable as the pool doubles,
-// so the carried ĉ snapshots and CELF init chains actually get replayed.
-// (The Louvain/fraction-threshold fixture above has near-tied marginals —
-// its winners reshuffle every doubling and the carry falls back to cold,
-// which is correct but measures only the fallback.)
+// End-to-end IMCAF fixture: a BA graph under the weighted cascade with
+// consecutive 6-node communities at threshold 2 — hub-structured, unlike
+// the Louvain/fraction-threshold fixture above.
 const Graph& ba_hub_graph() {
   static const Graph graph = [] {
     Rng rng(77);
@@ -501,7 +493,7 @@ const CommunitySet& ba_hub_communities() {
   return communities;
 }
 
-// End-to-end Alg. 5 runs, arguments {warm_start, threads}. threads == 0 is
+// End-to-end Alg. 5 runs, argument {threads}. threads == 0 is
 // the fully serial run (serial growth and selection, no worker pool);
 // threads > 0 grows the pool and runs the UBG selection sweeps in parallel
 // on that many workers. Both schedules are the same serial stage loop
@@ -510,7 +502,7 @@ const CommunitySet& ba_hub_communities() {
 void BM_ImcafEndToEnd(benchmark::State& state) {
   const Graph& graph = ba_hub_graph();
   const CommunitySet& communities = ba_hub_communities();
-  const auto threads = static_cast<unsigned>(state.range(1));
+  const auto threads = static_cast<unsigned>(state.range(0));
   std::unique_ptr<ThreadPool> workers;
   if (threads > 0) workers = std::make_unique<ThreadPool>(threads);
   GreedyOptions greedy;
@@ -521,7 +513,6 @@ void BM_ImcafEndToEnd(benchmark::State& state) {
   config.max_samples = 24000;  // 4 stop stages from Λ ≈ 2.7k
   config.seed = 2024;
   config.parallel_sampling = threads > 0;
-  config.warm_start = state.range(0) != 0;
   double sampling_seconds = 0.0;
   double solver_seconds = 0.0;
   double estimate_seconds = 0.0;
@@ -545,15 +536,9 @@ void BM_ImcafEndToEnd(benchmark::State& state) {
   state.counters["solver_seconds"] = solver_seconds / iterations;
   state.counters["estimate_seconds"] = estimate_seconds / iterations;
   state.counters["stop_stages"] = stop_stages;
-  state.counters["warm_start"] = config.warm_start ? 1.0 : 0.0;
   state.counters["threads"] = static_cast<double>(threads);
 }
-BENCHMARK(BM_ImcafEndToEnd)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({1, 2})
-    ->Args({1, 4})
-    ->Args({1, 8})
+BENCHMARK(BM_ImcafEndToEnd)->Arg(0)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Louvain(benchmark::State& state) {

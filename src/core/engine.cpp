@@ -137,7 +137,6 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     grow_seconds = timed_grow(grown, result);
   }
 
-  std::unique_ptr<MaxrResume> carry;
   MaxrSolution solution;
   for (;;) {
     ++result.stop_stages;
@@ -146,11 +145,11 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     metrics.pool_size = pool_.size();
     metrics.samples_added = grown;
     metrics.sampling_seconds = grow_seconds;
-    metrics.warm_start = config_.warm_start && result.stop_stages > 1;
 
+    // Alg. 5 solves MAXR from scratch on each stage's pool; no solver state
+    // crosses a stage boundary (DESIGN.md §12).
     const Stopwatch solve_watch;
-    solution = config_.warm_start ? solver.resume(pool_, k, carry)
-                                  : solver.solve(pool_, k);
+    solution = solver.solve(pool_, k);
     metrics.solver_seconds = solve_watch.elapsed_seconds();
     result.solver_seconds += metrics.solver_seconds;
     log(LogLevel::kDebug) << "IMCAF stage " << result.stop_stages << ": |R|="

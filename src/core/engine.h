@@ -2,11 +2,9 @@
 //
 // The engine owns the RIC sample pool and runs the SSA-style doubling loop
 // as three cooperating layers:
-//   sampling   — RicPool growth, watermarked by PoolEpoch so downstream
-//                consumers know exactly which sample range is new;
-//   core       — the MAXR solver, warm-started across stages through
-//                MaxrSolver::resume (bit-identical to cold solves by
-//                contract; ImcafConfig::warm_start turns it off);
+//   sampling   — RicPool growth (and in-place delta repair);
+//   core       — the MAXR solver, run cold on each stage's pool, as Alg. 5
+//                does (no solver state crosses a stage boundary);
 //   estimation — the stop-stage Dagum Estimate, deadline-aware through
 //                the ExecutionContext.
 // Keeping the pool in the engine (instead of a local of imcaf_solve) is
@@ -25,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,9 +60,8 @@ class ImcEngine {
   /// solve simply sees a larger |R|).
   [[nodiscard]] ImcafResult solve(std::uint32_t k, const MaxrSolver& solver);
 
-  /// Runs the queries in order against the shared pool. Solver warm-start
-  /// state is per-query (a solver appearing twice gets fresh state each
-  /// time — the pool size differs between its runs).
+  /// Runs the queries in order against the shared pool; each query is an
+  /// independent solve() that starts from whatever size the pool reached.
   [[nodiscard]] std::vector<ImcafResult> solve_many(
       std::span<const EngineQuery> queries);
 
@@ -77,8 +73,6 @@ class ImcEngine {
   /// invariant-verified by default; pass SnapshotTrust::kTrustPayload for
   /// files this host wrote to keep attach cost independent of pool size.
   /// The first post-attach growth copies the arenas into heap slabs.
-  /// The restored PoolEpoch watermark means solver warm-start carriers
-  /// captured against the saved pool validate against the reloaded one.
   /// Throws std::runtime_error / std::invalid_argument on any mismatch;
   /// the current pool is untouched on failure.
   void attach_pool(const std::string& path,
@@ -91,9 +85,8 @@ class ImcEngine {
   /// `graph` and `communities` MUST be the exact objects this engine was
   /// constructed over (identity-checked; the engine holds const views, so
   /// the caller supplies the mutable aliases) — std::invalid_argument
-  /// otherwise, nothing mutated. A repair bumps PoolEpoch::repairs, which
-  /// invalidates every outstanding warm-start carrier (solvers fall back
-  /// cold via their samples_since guard). Strong guarantee: every batch
+  /// otherwise, nothing mutated. A repair bumps PoolEpoch::repairs (the
+  /// snapshot header persists it). Strong guarantee: every batch
   /// the pool repair could not serve is rejected before the first write —
   /// invalid edges or moves, a community grown past 64 members, and under
   /// LT a node's in-weights summing past 1 — so on std::invalid_argument

@@ -179,15 +179,6 @@ void compute_c_hat_gains(const CoverageState& state, ThreadPool* sweep,
   return best;
 }
 
-[[nodiscard]] CandidateScore best_c_hat_sample_major(
-    const CoverageState& state, std::span<const NodeId> candidates,
-    ThreadPool* sweep, std::size_t shard_count,
-    std::vector<std::uint64_t>& gains,
-    std::vector<std::uint64_t>& scratch) {
-  compute_c_hat_gains(state, sweep, shard_count, gains, scratch);
-  return best_from_gains(state, candidates, gains);
-}
-
 GreedyResult greedy_rounds(const RicPool& pool, std::uint32_t k,
                            const GreedyOptions& options, BestFn best_of,
                            BeatsFn beats) {
@@ -222,112 +213,10 @@ GreedyResult greedy_c_hat(const RicPool& pool, std::uint32_t k,
 
   for (std::uint32_t round = 0;
        round < k && state.seeds().size() < candidates.size(); ++round) {
-    const CandidateScore best = best_c_hat_sample_major(
-        state, candidates, sweep, options.shards, gains, scratch);
-    if (!best.valid()) break;
-    state.add_seed(best.node);
-  }
-
-  std::vector<NodeId> seeds = state.seeds();
-  fill_to_k(pool, k, seeds);
-  return finish(pool, std::move(seeds));
-}
-
-namespace {
-
-/// Snapshot-matrix memory cap for CHatResume: k rows of n 8-byte gains.
-/// Past this, recording is skipped and every stage solves cold — warm
-/// start is a time/space trade, never a correctness requirement.
-inline constexpr std::size_t kCHatSnapshotCapBytes = 256u << 20;
-
-}  // namespace
-
-GreedyResult greedy_c_hat_resumable(const RicPool& pool, std::uint32_t k,
-                                    const GreedyOptions& options,
-                                    CHatResume& resume) {
-  check_k(pool, k);
-  CoverageState state(pool);
-  const std::vector<NodeId> candidates = candidate_nodes(pool);
-  ThreadPool* sweep = sweep_pool(options, candidates.size());
-  const std::size_t n = pool.graph().node_count();
-  const bool record =
-      static_cast<std::size_t>(k) * n * sizeof(std::uint64_t) <=
-      kCHatSnapshotCapBytes;
-
-  // A resume from a different graph, a reset pool, or an overwritten epoch
-  // is silently discarded — the cold path below is always correct.
-  bool warm = resume.nodes == n && !resume.winners.empty() &&
-              resume.gain_snapshots.size() == resume.winners.size() * n;
-  std::uint64_t old_samples = 0;
-  if (warm) {
-    try {
-      (void)pool.samples_since(resume.epoch);  // validates the carried epoch
-      old_samples = resume.epoch.samples;
-    } catch (const std::invalid_argument&) {
-      warm = false;
-    }
-  }
-  if (!warm) {
-    resume.winners.clear();
-    resume.gain_snapshots.clear();
-  }
-
-  std::vector<std::uint64_t> gains;
-  std::vector<std::uint64_t> scratch;
-  const std::size_t stored = resume.winners.size();
-  std::size_t rounds_done = 0;
-  bool diverged = false;
-  for (std::uint32_t round = 0;
-       round < k && state.seeds().size() < candidates.size(); ++round) {
-    if (!diverged && round < stored) {
-      // Warm round: the snapshot row already holds the [0, old) portion of
-      // every node's gain against this exact seed prefix (append never
-      // alters old samples' touches or coverage), so only the grown tail
-      // is accumulated. Integer adds over any sample partition reproduce
-      // the cold full-range totals exactly.
-      gains.assign(resume.gain_snapshots.begin() + round * n,
-                   resume.gain_snapshots.begin() + (round + 1) * n);
-      state.accumulate_influenced_gains(
-          static_cast<std::uint32_t>(old_samples),
-          static_cast<std::uint32_t>(pool.size()), gains.data());
-    } else {
-      compute_c_hat_gains(state, sweep, options.shards, gains, scratch);
-    }
+    compute_c_hat_gains(state, sweep, options.shards, gains, scratch);
     const CandidateScore best = best_from_gains(state, candidates, gains);
     if (!best.valid()) break;
-    if (!diverged && round < stored && resume.winners[round] != best.node) {
-      // ĉ is non-submodular: the grown pool legitimately reorders winners
-      // here. The stale tail was computed against the old prefix — drop it
-      // and continue cold (the gains just computed are still this round's
-      // snapshot).
-      diverged = true;
-      resume.winners.resize(round);
-      resume.gain_snapshots.resize(round * n);
-    }
-    if (record) {
-      if (round < resume.winners.size()) {
-        resume.winners[round] = best.node;
-        std::copy(gains.begin(), gains.end(),
-                  resume.gain_snapshots.begin() + round * n);
-      } else {
-        resume.winners.push_back(best.node);
-        resume.gain_snapshots.insert(resume.gain_snapshots.end(),
-                                     gains.begin(), gains.end());
-      }
-      rounds_done = round + 1;
-    }
     state.add_seed(best.node);
-  }
-
-  if (record) {
-    // Rows past the rounds actually run this call would be stale against
-    // the epoch below — drop them.
-    resume.winners.resize(rounds_done);
-    resume.gain_snapshots.resize(rounds_done * n);
-    resume.nodes = n;
-    resume.epoch = pool.grow_epoch();
-  } else {
-    resume = CHatResume{};
   }
 
   std::vector<NodeId> seeds = state.seeds();
@@ -372,94 +261,8 @@ inline constexpr double kCelfDriftGuard = 1e-9;
 using CelfHeap = std::priority_queue<CelfEntry, std::vector<CelfEntry>,
                                      CelfLess>;
 
-/// The CELF selection loop proper, shared by the cold and resumable entry
-/// points: given a heap of round-0 bounds it picks k seeds and finishes.
-GreedyResult celf_rounds(const RicPool& pool, std::uint32_t k,
-                         CoverageState& state, ThreadPool* sweep,
-                         CelfHeap& heap);
-
-}  // namespace
-
-GreedyResult celf_greedy_nu(const RicPool& pool, std::uint32_t k,
-                            const GreedyOptions& options) {
-  check_k(pool, k);
-  CoverageState state(pool);
-  const std::vector<NodeId> candidates = candidate_nodes(pool);
-  ThreadPool* sweep = sweep_pool(options, candidates.size());
-
-  CelfHeap heap;
-  {
-    // Initial gains are chunking-independent per node, so the parallel
-    // build feeds the heap the exact values the serial build would. The
-    // serial build itself goes sample-major — one sequential pass over the
-    // pool instead of a random covered probe per touch — which is
-    // bit-identical to per-node marginal_nu over the full range (see
-    // CoverageState::accumulate_nu_gains).
-    std::vector<double> gains(candidates.size(), 0.0);
-    if (sweep != nullptr) {
-      parallel_for(*sweep, candidates.size(),
-                   [&](std::uint64_t begin, std::uint64_t end, unsigned) {
-                     for (std::uint64_t i = begin; i < end; ++i) {
-                       gains[i] = state.marginal_nu(candidates[i]);
-                     }
-                   });
-    } else {
-      std::vector<double> node_gains(pool.graph().node_count(), 0.0);
-      state.accumulate_nu_gains(0, static_cast<std::uint32_t>(pool.size()),
-                                node_gains.data());
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        gains[i] = node_gains[candidates[i]];
-      }
-    }
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      heap.push(CelfEntry{gains[i], candidates[i], 0});
-    }
-  }
-  return celf_rounds(pool, k, state, sweep, heap);
-}
-
-GreedyResult celf_greedy_nu_resumable(const RicPool& pool, std::uint32_t k,
-                                      const GreedyOptions& options,
-                                      NuCelfResume& resume) {
-  check_k(pool, k);
-  CoverageState state(pool);
-  const std::vector<NodeId> candidates = candidate_nodes(pool);
-  ThreadPool* sweep = sweep_pool(options, candidates.size());
-  const std::size_t n = pool.graph().node_count();
-
-  // Continue (or start) the per-node init-gain chains. Always the serial
-  // sample-major pass, even under `parallel`: its per-node values equal
-  // the parallel per-candidate marginals bit-for-bit (see
-  // accumulate_nu_gains), and seriality is what makes the stored array a
-  // resumable left-associated chain.
-  bool warm = resume.init_gains.size() == n;
-  std::uint64_t old_samples = 0;
-  if (warm) {
-    try {
-      (void)pool.samples_since(resume.epoch);  // validates the carried epoch
-      old_samples = resume.epoch.samples;
-    } catch (const std::invalid_argument&) {
-      warm = false;
-    }
-  }
-  if (!warm) {
-    resume.init_gains.assign(n, 0.0);
-    old_samples = 0;
-  }
-  state.accumulate_nu_gains(static_cast<std::uint32_t>(old_samples),
-                            static_cast<std::uint32_t>(pool.size()),
-                            resume.init_gains.data());
-  resume.epoch = pool.grow_epoch();
-
-  CelfHeap heap;
-  for (const NodeId v : candidates) {
-    heap.push(CelfEntry{resume.init_gains[v], v, 0});
-  }
-  return celf_rounds(pool, k, state, sweep, heap);
-}
-
-namespace {
-
+/// The CELF selection loop proper: given a heap of round-0 bounds it picks
+/// k seeds and finishes.
 GreedyResult celf_rounds(const RicPool& pool, std::uint32_t k,
                          CoverageState& state, ThreadPool* sweep,
                          CelfHeap& heap) {
@@ -545,5 +348,43 @@ GreedyResult celf_rounds(const RicPool& pool, std::uint32_t k,
 }
 
 }  // namespace
+
+GreedyResult celf_greedy_nu(const RicPool& pool, std::uint32_t k,
+                            const GreedyOptions& options) {
+  check_k(pool, k);
+  CoverageState state(pool);
+  const std::vector<NodeId> candidates = candidate_nodes(pool);
+  ThreadPool* sweep = sweep_pool(options, candidates.size());
+
+  CelfHeap heap;
+  {
+    // Initial gains are chunking-independent per node, so the parallel
+    // build feeds the heap the exact values the serial build would. The
+    // serial build itself goes sample-major — one sequential pass over the
+    // pool instead of a random covered probe per touch — which is
+    // bit-identical to per-node marginal_nu over the full range (see
+    // CoverageState::accumulate_nu_gains).
+    std::vector<double> gains(candidates.size(), 0.0);
+    if (sweep != nullptr) {
+      parallel_for(*sweep, candidates.size(),
+                   [&](std::uint64_t begin, std::uint64_t end, unsigned) {
+                     for (std::uint64_t i = begin; i < end; ++i) {
+                       gains[i] = state.marginal_nu(candidates[i]);
+                     }
+                   });
+    } else {
+      std::vector<double> node_gains(pool.graph().node_count(), 0.0);
+      state.accumulate_nu_gains(0, static_cast<std::uint32_t>(pool.size()),
+                                node_gains.data());
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        gains[i] = node_gains[candidates[i]];
+      }
+    }
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      heap.push(CelfEntry{gains[i], candidates[i], 0});
+    }
+  }
+  return celf_rounds(pool, k, state, sweep, heap);
+}
 
 }  // namespace imc

@@ -31,10 +31,6 @@ struct ImcafConfig {
   /// exactly like the paper's runtime limit.
   std::uint64_t max_samples = 0;
   bool parallel_sampling = true;
-  /// Let the MAXR solver warm-start from its previous doubling stage via
-  /// MaxrSolver::resume. Results are BIT-IDENTICAL either way (the resume
-  /// contract); off exists for benchmarking the cold baseline.
-  bool warm_start = true;
   /// Ignored: pool arenas always live in heap slabs (DESIGN.md §13). Kept
   /// only so existing callers that still name it compile; the next
   /// benchmark change removes it.

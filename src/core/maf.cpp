@@ -27,8 +27,7 @@ namespace {
 }
 
 /// S_1 of Alg. 3: walk `order`, claiming h_C random members per community
-/// while they fit in the budget (lines 5-6). A pure function of
-/// (order, k, seed) — the thresholds and members it reads are static.
+/// while they fit in the budget (lines 5-6).
 [[nodiscard]] std::vector<NodeId> build_s1(
     const RicPool& pool, std::uint32_t k, std::uint64_t seed,
     const std::vector<CommunityId>& order) {
@@ -108,36 +107,6 @@ MafSolution maf_solve(const RicPool& pool, std::uint32_t k,
   solution.s1 = build_s1(pool, k, seed, source_frequency_order(pool));
   solution.s2 = build_s2(pool, k);
   pick_better(pool, options, solution);
-  return solution;
-}
-
-MafSolution maf_resume(const RicPool& pool, std::uint32_t k,
-                       std::uint64_t seed, const GreedyOptions& options,
-                       MafResume& state) {
-  check_maf_k(k);
-  std::vector<CommunityId> order = source_frequency_order(pool);
-
-  bool reusable = state.k == k && state.order == order && !state.s1.empty();
-  if (reusable) {
-    try {
-      (void)pool.samples_since(state.epoch);  // validates the carried epoch
-    } catch (const std::invalid_argument&) {
-      reusable = false;
-    }
-  }
-
-  MafSolution solution;
-  // Same (order, k, seed) ⇒ build_s1 would reproduce the stored set
-  // verbatim; skip the shuffles. Growth that reorders the frequencies
-  // rebuilds from scratch.
-  solution.s1 = reusable ? state.s1 : build_s1(pool, k, seed, order);
-  solution.s2 = build_s2(pool, k);
-  pick_better(pool, options, solution);
-
-  state.epoch = pool.grow_epoch();
-  state.order = std::move(order);
-  state.s1 = solution.s1;
-  state.k = k;
   return solution;
 }
 

@@ -52,23 +52,6 @@ class CoverageState {
   /// Adds one seed (idempotent — re-adding is a no-op).
   void add_seed(NodeId v);
 
-  /// Catches the state up with samples grown into the pool since
-  /// `from_epoch` (the RicPool::grow_epoch() captured when this state was
-  /// last constructed/extended). `pool` must be the state's own pool and
-  /// `from_epoch.samples` must equal the sample count the state currently
-  /// covers; a stale or foreign epoch throws std::invalid_argument.
-  ///
-  /// ν accumulation-order contract: the extended state is BITWISE equal
-  /// (operator==) to a fresh CoverageState on the grown pool replaying
-  /// add_seed over the same seeds in insertion order. Kahan compensation
-  /// makes nu_sum_ sensitive to summation order, so extend() does not
-  /// splice "new-sample deltas" into the old sum — it replays every seed's
-  /// full CSR touch run seed-major (exactly the rebuild's accumulation
-  /// sequence) and REPLACES influenced_/nu_sum_ with the replayed values.
-  /// Cost is O(Σ touches of the seeds), independent of |R|, via the
-  /// epoch-marked scratch below.
-  void extend(const RicPool& pool, RicPool::PoolEpoch from_epoch);
-
   [[nodiscard]] const std::vector<NodeId>& seeds() const noexcept {
     return seeds_;
   }
@@ -95,21 +78,15 @@ class CoverageState {
   [[nodiscard]] double nu() const noexcept;
 
   // -- candidate marginals (no mutation) ------------------------------------
-  /// Increase of influenced() if v were added.
-  [[nodiscard]] std::uint64_t marginal_influenced(NodeId v) const;
   /// Increase of nu_sum() if v were added.
   [[nodiscard]] double marginal_nu(NodeId v) const;
 
   // -- batch chunk evaluation (no mutation) ---------------------------------
   /// Scores candidates[begin, end) (current seeds skipped) and returns the
-  /// slice winner under `beats_c_hat`; invalid when the slice is empty or
-  /// all seeds. Each parallel_for chunk runs this over its slice; gains are
+  /// slice winner under `beats_nu`; invalid when the slice is empty or all
+  /// seeds. Each parallel_for chunk runs this over its slice; gains are
   /// computed per node independent of the chunking, so reducing chunk
-  /// winners with `beats_c_hat` reproduces the serial sweep bit-for-bit.
-  [[nodiscard]] CandidateScore best_candidate_c_hat(
-      std::span<const NodeId> candidates, std::size_t begin,
-      std::size_t end) const;
-  /// Same contract for the ν objective under `beats_nu`.
+  /// winners with `beats_nu` reproduces the serial sweep bit-for-bit.
   [[nodiscard]] CandidateScore best_candidate_nu(
       std::span<const NodeId> candidates, std::size_t begin,
       std::size_t end) const;
@@ -117,9 +94,9 @@ class CoverageState {
   /// Sample-major ĉ marginal pass over samples [begin, end): for every
   /// not-yet-influenced sample, bumps gains[v] by one for each toucher v
   /// whose mask lifts the sample past its threshold. Summed over any
-  /// partition of [0, pool size) this reproduces marginal_influenced(v)
-  /// exactly for every node (current seeds get 0: their masks are already
-  /// folded into covered). The inversion reads each covered mask once
+  /// partition of [0, pool size) this gives, for every node v, exactly the
+  /// increase of influenced() if v were added (current seeds get 0: their
+  /// masks are already folded into covered). The inversion reads each covered mask once
   /// sequentially instead of once per touch at random, and skips dead
   /// samples wholesale; integer accumulation makes chunk sums independent
   /// of the partition, so parallel callers stay deterministic. Executed by
@@ -149,16 +126,10 @@ class CoverageState {
 
   [[nodiscard]] const RicPool& pool() const noexcept { return *pool_; }
 
-  /// Observable-state equality: same pool, same per-sample coverage and
-  /// saturation, same seed set, and the same influenced_/nu_sum_ values
-  /// (nu compared by value() — the invariant extend() guarantees
-  /// bitwise). The extend-vs-rebuild tests assert with this.
-  friend bool operator==(const CoverageState& a, const CoverageState& b);
-
  private:
-  /// (Re)derives nu_base_[from, pool size) from the current covered masks
-  /// (row_h[popcount(covered)]; row_h[0] for untouched samples).
-  void init_nu_base(std::size_t from);
+  /// Sets every sample's nu_base_ entry to its row's count-0 fraction
+  /// (row_h[0]) — the value for an empty seed set.
+  void init_nu_base();
 
   const RicPool* pool_;
   /// Base of the precomputed ν fraction table (nu_fraction_row(0)); rows
@@ -174,19 +145,14 @@ class CoverageState {
   /// Per sample: the CURRENT base fraction row_h[popcount(covered)],
   /// maintained on every covered change. The sample-major ν kernel then
   /// does a pure lookup-subtract per touch — no per-sample popcount of the
-  /// covered word. Exact invariant (checked by operator==): rows are flat
-  /// at 1.0 past h, so skipping updates once saturated still leaves the
-  /// stored value equal to the recomputed one.
+  /// covered word. Exact invariant: rows are flat at 1.0 past h, so
+  /// skipping updates once saturated still leaves the stored value equal
+  /// to the recomputed one.
   std::vector<double> nu_base_;
   std::vector<std::uint8_t> is_seed_;    // per node
   std::vector<NodeId> seeds_;
   std::uint64_t influenced_ = 0;
   KahanSum nu_sum_;  // compensated: matches RicPool::nu's KahanSum
-  /// extend() scratch: extend_mark_[g] == extend_epoch_ means covered_[g]
-  /// already holds the current replay's running mask (so `before` reads it
-  /// instead of 0). Epoch-bumped per extend — no O(|R|) clearing.
-  std::vector<std::uint32_t> extend_mark_;
-  std::uint32_t extend_epoch_ = 0;
 };
 
 }  // namespace imc

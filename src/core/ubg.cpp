@@ -30,13 +30,4 @@ UbgSolution ubg_solve(const RicPool& pool, std::uint32_t k,
   return solution;
 }
 
-UbgSolution ubg_resume(const RicPool& pool, std::uint32_t k,
-                       const GreedyOptions& options, UbgResume& state) {
-  UbgSolution solution;
-  solution.from_c_hat = greedy_c_hat_resumable(pool, k, options, state.c_hat);
-  solution.from_nu = celf_greedy_nu_resumable(pool, k, options, state.nu);
-  pick_better(solution);
-  return solution;
-}
-
 }  // namespace imc

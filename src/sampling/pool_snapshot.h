@@ -7,7 +7,7 @@
 // sample-major twin, community counters AND the CSR inverted index — so
 // the one loader, `attach_ric_pool_snapshot`, is a single mmap: the arenas
 // are served zero-copy straight out of the page cache and a restart
-// resumes warm-started solves without re-sampling or re-indexing.
+// solves without re-sampling or re-indexing.
 //
 // Layout (all integers little-endian, host-width as noted):
 //

@@ -6,15 +6,17 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/engine.h"
 #include "core/gain_kernels.h"
-#include "graph/delta.h"
 #include "core/greedy.h"
 #include "core/maf.h"
 #include "core/objective.h"
 #include "core/ubg.h"
+#include "graph/delta.h"
 #include "sampling/pool_snapshot.h"
 #include "sampling/ric_pool.h"
 #include "sampling/ric_sample.h"
@@ -232,10 +234,6 @@ std::optional<std::string> check_evaluators(const InstanceSpec& spec,
       }
     }
     for (NodeId v = 0; v < graph.node_count(); ++v) {
-      if (state.marginal_influenced(v) != ref.marginal_influenced(view, v)) {
-        return "marginal_influenced(" + std::to_string(v) +
-               ") mismatch on " + describe_nodes(view);
-      }
       // Bit-for-bit: the reference replays the documented accumulation
       // order, and the fraction table holds exact count/h doubles. Any
       // difference means the order contract broke.
@@ -245,16 +243,19 @@ std::optional<std::string> check_evaluators(const InstanceSpec& spec,
       }
     }
 
-    // Batch passes: chunked influenced gains must SUM to the marginals for
-    // any partition; the full-range nu pass must match bit-for-bit.
+    // Batch passes: the full-range influenced pass and the chunked one
+    // must both equal the reference ĉ marginals (integer sums over any
+    // partition); the full-range nu pass must match bit-for-bit.
     const auto n = graph.node_count();
-    std::vector<std::uint64_t> influenced_gains(n, 0);
     const auto r = static_cast<std::uint32_t>(pool.size());
+    std::vector<std::uint64_t> influenced_gains(n, 0);
+    state.accumulate_influenced_gains(0, r, influenced_gains.data());
+    std::vector<std::uint64_t> chunked_gains(n, 0);
     const std::uint32_t cut1 = r / 3;
     const std::uint32_t cut2 = 2 * r / 3;
-    state.accumulate_influenced_gains(0, cut1, influenced_gains.data());
-    state.accumulate_influenced_gains(cut1, cut2, influenced_gains.data());
-    state.accumulate_influenced_gains(cut2, r, influenced_gains.data());
+    state.accumulate_influenced_gains(0, cut1, chunked_gains.data());
+    state.accumulate_influenced_gains(cut1, cut2, chunked_gains.data());
+    state.accumulate_influenced_gains(cut2, r, chunked_gains.data());
     std::vector<double> nu_gains(n, 0.0);
     state.accumulate_nu_gains(0, r, nu_gains.data());
     for (NodeId v = 0; v < n; ++v) {
@@ -264,6 +265,10 @@ std::optional<std::string> check_evaluators(const InstanceSpec& spec,
           is_seed ? 0 : ref.marginal_influenced(view, v);
       if (influenced_gains[v] != want_influenced) {
         return "accumulate_influenced_gains(" + std::to_string(v) +
+               ") mismatch on " + describe_nodes(view);
+      }
+      if (chunked_gains[v] != want_influenced) {
+        return "chunked accumulate_influenced_gains(" + std::to_string(v) +
                ") mismatch on " + describe_nodes(view);
       }
       const double want_nu = is_seed ? 0.0 : ref.marginal_nu(view, v);
@@ -427,89 +432,6 @@ std::optional<std::string> check_kernel_variants(const InstanceSpec& spec,
     const GreedyResult got_celf = celf_greedy_nu(pool, k, GreedyOptions{});
     if (got_celf.seeds != ref_celf.seeds || got_celf.nu != ref_celf.nu) {
       return "celf_greedy_nu(k=" + std::to_string(k) + ") diverged" + tag;
-    }
-  }
-  return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
-// Check: warm_vs_cold
-// ---------------------------------------------------------------------------
-
-/// The MaxrSolver::resume / CoverageState::extend contracts under random
-/// growth schedules: after every pool growth, a warm-started UBG/MAF solve
-/// must be BIT-IDENTICAL to a cold solve on the same pool, and an extended
-/// CoverageState must be operator== to a from-scratch rebuild. Cold paths
-/// are the oracles — they are themselves pinned against the slow reference
-/// oracles by check_greedy.
-std::optional<std::string> check_warm_vs_cold(const InstanceSpec& spec,
-                                              std::uint64_t case_seed) {
-  const Graph graph = spec.build_graph();
-  const CommunitySet communities = spec.build_communities();
-  const std::uint64_t count = pool_size_for(case_seed);
-
-  ThreadPool two(2);
-  const GreedyOptions serial{};
-  const GreedyOptions par2{/*parallel=*/true, &two,
-                           /*min_parallel_candidates=*/1};
-
-  Rng rng(case_seed ^ 0xc01d57a7ULL);
-  const auto k = static_cast<std::uint32_t>(
-      rng.between(1, std::min<std::int64_t>(4, graph.node_count())));
-  const std::vector<std::uint32_t> tracked_seeds =
-      rng.sample_without_replacement(
-          graph.node_count(),
-          std::min<std::uint32_t>(2, graph.node_count()));
-
-  // Uneven growth slices so the stages are not a clean doubling.
-  const std::uint64_t slices[3] = {count / 2 + 1, count / 3 + 1,
-                                   count / 4 + 1};
-
-  for (const GreedyOptions* options : {&serial, &par2}) {
-    RicPool pool(graph, communities, spec.model);
-    UbgResume ubg_state;
-    MafResume maf_state;
-    CoverageState tracked(pool);
-    for (const NodeId v : tracked_seeds) tracked.add_seed(v);
-    RicPool::PoolEpoch epoch = pool.grow_epoch();
-
-    bool parallel_grow = false;
-    for (const std::uint64_t slice : slices) {
-      pool.grow(slice, case_seed, parallel_grow,
-                parallel_grow ? &two : nullptr);
-      parallel_grow = !parallel_grow;
-      const std::string at = " at |R|=" + std::to_string(pool.size()) +
-                             ", k=" + std::to_string(k) +
-                             (options->parallel ? ", parallel" : ", serial");
-
-      const UbgSolution warm = ubg_resume(pool, k, *options, ubg_state);
-      const UbgSolution cold = ubg_solve(pool, k, *options);
-      if (warm.seeds != cold.seeds) {
-        return "ubg_resume seeds " + describe_nodes(warm.seeds) +
-               " != cold " + describe_nodes(cold.seeds) + at;
-      }
-      if (warm.c_hat != cold.c_hat || warm.from_nu.nu != cold.from_nu.nu ||
-          warm.from_c_hat.c_hat != cold.from_c_hat.c_hat) {
-        return "ubg_resume metrics not bit-identical to cold solve" + at;
-      }
-
-      const MafSolution maf_warm =
-          maf_resume(pool, k, /*seed=*/case_seed, *options, maf_state);
-      const MafSolution maf_cold =
-          maf_solve(pool, k, /*seed=*/case_seed, *options);
-      if (maf_warm.seeds != maf_cold.seeds ||
-          maf_warm.c_hat != maf_cold.c_hat) {
-        return "maf_resume diverged from cold solve" + at;
-      }
-
-      tracked.extend(pool, epoch);
-      epoch = pool.grow_epoch();
-      CoverageState rebuilt(pool);
-      for (const NodeId v : tracked.seeds()) rebuilt.add_seed(v);
-      if (!(tracked == rebuilt)) {
-        return "CoverageState::extend != full rebuild on seeds " +
-               describe_nodes(tracked.seeds()) + at;
-      }
     }
   }
   return std::nullopt;
@@ -699,13 +621,157 @@ GraphDelta random_delta(const Graph& graph, const CommunitySet& communities,
   return delta;
 }
 
+/// Draws a batch ImcEngine::apply_delta must reject, when the instance
+/// allows one: under LT, two upserts into one node whose in-weights then
+/// sum past 1; or moves that grow one community past the 64-member cap,
+/// when enough members elsewhere can leave their communities. nullopt when
+/// neither applies.
+std::optional<GraphDelta> rejected_delta(const Graph& graph,
+                                         const CommunitySet& communities,
+                                         DiffusionModel model, Rng& rng) {
+  const NodeId n = graph.node_count();
+  const bool lt = model == DiffusionModel::kLinearThreshold && n >= 3;
+
+  // The largest community needs the fewest arrivals to pass the cap.
+  CommunityId target = 0;
+  for (CommunityId c = 1; c < communities.size(); ++c) {
+    if (communities.population(c) > communities.population(target)) {
+      target = c;
+    }
+  }
+  std::vector<NodeId> leavers;
+  for (CommunityId c = 0; c < communities.size(); ++c) {
+    if (c == target) continue;
+    const NodeId keep =
+        std::max<NodeId>(1, static_cast<NodeId>(communities.threshold(c)));
+    const auto members = communities.members(c);
+    for (NodeId i = keep; i < members.size(); ++i) {
+      leavers.push_back(members[i]);
+    }
+  }
+  const NodeId needed =
+      communities.empty()
+          ? 0
+          : kMaxCommunityPopulation + 1 - communities.population(target);
+  const bool cap = needed > 0 && leavers.size() >= needed;
+
+  if (!lt && !cap) return std::nullopt;
+  GraphDelta delta;
+  if (lt && (!cap || rng.bernoulli(0.5))) {
+    const std::vector<std::uint32_t> picks =
+        rng.sample_without_replacement(n, 3);
+    delta.upsert_edge(picks[1], picks[0], 0.6);
+    delta.upsert_edge(picks[2], picks[0], 0.6);
+    return delta;
+  }
+  for (NodeId i = 0; i < needed; ++i) delta.move_member(leavers[i], target);
+  return delta;
+}
+
+/// Byte-level equality of both CSR orientations and the uniform in-weight
+/// tables; empty when equal.
+std::string graph_diff(const Graph& got, const Graph& want) {
+  if (got.node_count() != want.node_count() ||
+      got.edge_count() != want.edge_count()) {
+    return "graph size changed";
+  }
+  const auto same_bytes = [](auto a, auto b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+  };
+  for (NodeId v = 0; v < want.node_count(); ++v) {
+    if (!same_bytes(got.out_neighbors(v), want.out_neighbors(v)) ||
+        !same_bytes(got.in_neighbors(v), want.in_neighbors(v))) {
+      return "graph adjacency of node " + std::to_string(v) + " changed";
+    }
+  }
+  if (!same_bytes(got.in_uniform_weights(), want.in_uniform_weights()) ||
+      !same_bytes(got.in_uniform_inv_log1ps(),
+                  want.in_uniform_inv_log1ps())) {
+    return "graph uniform in-weight tables changed";
+  }
+  return "";
+}
+
+/// Equality of every community's members, threshold and benefit and of
+/// every node's membership; empty when equal.
+std::string communities_diff(const CommunitySet& got,
+                             const CommunitySet& want) {
+  if (got.size() != want.size() || got.node_count() != want.node_count()) {
+    return "community set size changed";
+  }
+  for (CommunityId c = 0; c < want.size(); ++c) {
+    const auto mine = got.members(c);
+    const auto theirs = want.members(c);
+    if (!std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end()) ||
+        got.threshold(c) != want.threshold(c) ||
+        got.benefit(c) != want.benefit(c)) {
+      return "community " + std::to_string(c) + " changed";
+    }
+  }
+  for (NodeId v = 0; v < want.node_count(); ++v) {
+    if (got.community_of(v) != want.community_of(v)) {
+      return "membership of node " + std::to_string(v) + " changed";
+    }
+  }
+  return "";
+}
+
+/// Strong guarantee of ImcEngine::apply_delta: a batch it must reject
+/// throws std::invalid_argument and leaves the graph, the communities, the
+/// engine's pool arenas and its epoch exactly as they were.
+std::optional<std::string> check_rejected_delta(Graph& graph,
+                                                CommunitySet& communities,
+                                                DiffusionModel model,
+                                                std::uint32_t k,
+                                                std::uint64_t case_seed) {
+  Rng rng(case_seed ^ 0x2e1ec7edULL);
+  const std::optional<GraphDelta> bad =
+      rejected_delta(graph, communities, model, rng);
+  if (!bad) return std::nullopt;
+
+  ImcafConfig config;
+  config.seed = case_seed;
+  config.model = model;
+  config.max_samples = pool_size_for(case_seed);
+  config.parallel_sampling = false;
+  ImcEngine engine(graph, communities, config);
+  (void)engine.solve(k, UbgSolver());
+
+  const Graph graph_before = graph;
+  const CommunitySet communities_before = communities;
+  const RicPool::PoolEpoch epoch_before = engine.pool().grow_epoch();
+  RicPool want(graph, communities, model);
+  want.grow(engine.pool().size(), case_seed, /*parallel=*/false);
+  const std::string at = " (rejected batch: " +
+                         std::to_string(bad->edges.size()) + " edge op(s), " +
+                         std::to_string(bad->moves.size()) + " move(s))";
+  std::string diff = pool_content_diff(engine.pool(), want);
+  if (!diff.empty()) return "engine pool differs from a rebuild: " + diff;
+
+  try {
+    (void)engine.apply_delta(graph, communities, *bad);
+    return "ImcEngine::apply_delta accepted a batch it must reject" + at;
+  } catch (const std::invalid_argument&) {
+  }
+  diff = graph_diff(graph, graph_before);
+  if (diff.empty()) diff = communities_diff(communities, communities_before);
+  if (diff.empty()) diff = pool_content_diff(engine.pool(), want);
+  if (!diff.empty()) return "rejected batch left a trace: " + diff + at;
+  if (engine.pool().grow_epoch() != epoch_before) {
+    return "rejected batch moved the pool epoch" + at;
+  }
+  return std::nullopt;
+}
+
 /// Random delta streams interleaved with solves: three live pools repaired
 /// at threads {1, 2, 8} must each stay bit-identical to a from-scratch
 /// rebuild on the mutated structures — arenas, counters AND the CSR index
 /// — and UBG/MAF selections on the repaired pools must match the rebuilt
 /// pool seed-for-seed, ĉ- and ν-exactly, at every parallelism level. This
 /// is the differential certificate behind RicPool::invalidate_and_repair
-/// (DESIGN.md §16).
+/// (DESIGN.md §16). The case then ends with check_rejected_delta on the
+/// mutated instance.
 std::optional<std::string> check_delta_vs_rebuild(const InstanceSpec& spec,
                                                   std::uint64_t case_seed) {
   Graph graph = spec.build_graph();
@@ -794,7 +860,7 @@ std::optional<std::string> check_delta_vs_rebuild(const InstanceSpec& spec,
       }
     }
   }
-  return std::nullopt;
+  return check_rejected_delta(graph, communities, spec.model, k, case_seed);
 }
 
 // ---------------------------------------------------------------------------
@@ -909,7 +975,6 @@ std::vector<FuzzCheck> default_checks() {
       {"evaluators", check_evaluators},
       {"greedy", check_greedy},
       {"kernel_variants", check_kernel_variants},
-      {"warm_vs_cold", check_warm_vs_cold},
       {"pool_roundtrip", check_pool_roundtrip},
       {"delta_vs_rebuild", check_delta_vs_rebuild},
       {"sampler_distribution", check_sampler_distribution},

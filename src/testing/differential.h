@@ -30,6 +30,11 @@
 //                     from-scratch rebuild on the mutated structures,
 //                     compared bit-for-bit (arenas, counters, CSR index)
 //                     plus UBG/MAF seed/ĉ/ν equality (DESIGN.md §16).
+//                     Then, where the instance allows one, a batch
+//                     ImcEngine::apply_delta must reject (LT in-weights
+//                     past 1, a community past 64 members): it must throw
+//                     and leave graph, communities, pool arenas and epoch
+//                     byte-for-byte unchanged.
 //   * sampler_distribution — on enumerably small instances, the naive
 //                     per-edge-Bernoulli sampler AND the geometric-skip /
 //                     bit-parallel RicSampler against exhaustive live-edge

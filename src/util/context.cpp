@@ -4,14 +4,6 @@
 
 namespace imc {
 
-namespace {
-
-void write_bool(std::ostream& out, bool value) {
-  out << (value ? "true" : "false");
-}
-
-}  // namespace
-
 void RecordingMetricsSink::record_stage(const StageMetrics& metrics) {
   const std::lock_guard<std::mutex> lock(mutex_);
   stages_.push_back(metrics);
@@ -33,11 +25,8 @@ void RecordingMetricsSink::write_json(std::ostream& out) const {
         << ", \"solver_seconds\": " << s.solver_seconds
         << ", \"estimate_seconds\": " << s.estimate_seconds
         << ", \"estimate_samples\": " << s.estimate_samples
-        << ", \"warm_start\": ";
-    write_bool(out, s.warm_start);
-    out << ", \"accepted\": ";
-    write_bool(out, s.accepted);
-    out << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
+        << ", \"accepted\": " << (s.accepted ? "true" : "false") << "}"
+        << (i + 1 < rows.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";
 }

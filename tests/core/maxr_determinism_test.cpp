@@ -82,40 +82,5 @@ TEST_F(MaxrDeterminismTest, PinnedSeedsThresholdTwo) {
                       {1, 3, 0, 10, 6, 8, 2, 4});
 }
 
-// Warm-start pins: resuming after the pool doubles must reproduce the cold
-// solve on the grown pool bit-for-bit (the MaxrSolver::resume contract) —
-// including the pinned first-stage seeds above on the original pool.
-TEST_F(MaxrDeterminismTest, WarmResumeAfterGrowthMatchesColdSolve) {
-  const std::vector<std::vector<NodeId>> ubg_stage1 = {
-      {1, 3, 0, 8, 10, 44, 37, 109}, {1, 3, 0, 10, 44, 6, 33, 4}};
-  const std::vector<NodeId> maf_stage1 = {1, 3, 0, 10, 6, 8, 2, 4};
-  for (const std::uint32_t h : {1U, 2U}) {
-    RicPool pool = make_pool(h);
-    const GreedyOptions options;
-    UbgResume ubg_state;
-    MafResume maf_state;
-    EXPECT_EQ(ubg_resume(pool, 8, options, ubg_state).seeds,
-              ubg_stage1[h - 1])
-        << "h=" << h;
-    EXPECT_EQ(maf_resume(pool, 8, /*seed=*/99, options, maf_state).seeds,
-              maf_stage1)
-        << "h=" << h;
-
-    pool.grow(1200, 11, /*parallel=*/false);  // 1200 -> 2400 doubling
-    const UbgSolution warm = ubg_resume(pool, 8, options, ubg_state);
-    const UbgSolution cold = ubg_solve(pool, 8, options);
-    EXPECT_EQ(warm.seeds, cold.seeds) << "h=" << h;
-    EXPECT_EQ(warm.c_hat, cold.c_hat) << "h=" << h;
-    EXPECT_EQ(warm.from_nu.seeds, cold.from_nu.seeds) << "h=" << h;
-    EXPECT_EQ(warm.from_nu.nu, cold.from_nu.nu) << "h=" << h;
-
-    const MafSolution maf_warm =
-        maf_resume(pool, 8, /*seed=*/99, options, maf_state);
-    const MafSolution maf_cold = maf_solve(pool, 8, /*seed=*/99, options);
-    EXPECT_EQ(maf_warm.seeds, maf_cold.seeds) << "h=" << h;
-    EXPECT_EQ(maf_warm.c_hat, maf_cold.c_hat) << "h=" << h;
-  }
-}
-
 }  // namespace
 }  // namespace imc

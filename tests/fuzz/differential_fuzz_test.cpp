@@ -52,6 +52,27 @@ TEST(DifferentialFuzz, Battery) {
   EXPECT_GT(tiny_report.checks_run, 0U);
 }
 
+TEST(DifferentialFuzz, DeltaRejectionCoversTheMemberCap) {
+  // The default distribution (<= 48 nodes) can never grow a community past
+  // the 64-member cap, so there delta_vs_rebuild's rejection leg only draws
+  // LT in-weight batches. Instances with communities near the cap give it
+  // the member-cap batch too.
+  FuzzConfig config;
+  config.cases = 12;
+  config.base_seed = fuzz_case_seed(config.base_seed, 0xca9ULL);
+  config.distribution.min_nodes = 100;
+  config.distribution.max_nodes = 140;
+  config.distribution.max_community_size = 60;
+  config.distribution.p_linear_threshold = 0.0;
+  std::vector<FuzzCheck> checks = default_checks();
+  std::erase_if(checks, [](const FuzzCheck& check) {
+    return check.name != "delta_vs_rebuild";
+  });
+  ASSERT_EQ(checks.size(), 1U);
+  const FuzzReport report = run_differential_fuzz(config, checks, &std::cerr);
+  EXPECT_TRUE(report.ok()) << report.summary();
+}
+
 TEST(DifferentialFuzz, GeneratorOnlyEmitsValidSpecs) {
   InstanceDistribution dist;
   Rng rng(0xfab1eULL);

@@ -22,13 +22,13 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # abort_on_error turns the first ASan report into a test failure instead of
 # a log line; detect_leaks catches pool/arena ownership bugs the
 # differential checks can't see. halt_on_error does the same for UBSan.
-# The engine label rides along: CoverageState::extend and the warm-start
-# carriers shuffle heap buffers that ASan should watch too. The io label
-# rides along for the same reason: copy-on-write materialization of
-# attached snapshots and the snapshot attach itself move raw bytes with
-# lifetimes that the sanitizers — not the differential checks — are built
-# to police, and the text-parser byte-mutation corpora (delta streams,
-# communities files) feed them hostile input.
+# The engine label rides along: the engine's stage loop and the
+# CoverageState buffers it sweeps are heap state ASan should watch too. The
+# io label rides along because copy-on-write materialization of attached
+# snapshots and the snapshot attach itself move raw bytes with lifetimes
+# that the sanitizers — not the differential checks — are built to police,
+# and the text-parser byte-mutation corpora (SNAP edge lists, delta
+# streams, communities files) feed them hostile input.
 # The delta label rides along: in-place sample repair rewrites arena spans
 # and splices CSR adjacency in place — exactly the kind of off-by-one
 # surface ASan exists for (the fuzz label's delta_vs_rebuild check covers

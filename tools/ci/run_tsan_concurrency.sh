@@ -19,8 +19,8 @@ cmake --build "${build_dir}" -j "${jobs}" \
 
 # halt_on_error makes any race fail the ctest invocation instead of just
 # printing a report; second_deadlock_stack improves lock-order diagnostics.
-# The engine label rides along: warm-start resume and solve_many exercise
-# the thread pool through the same deterministic-parallel sweeps, and the
+# The engine label rides along: solve and solve_many exercise the thread
+# pool through the same deterministic-parallel sweeps, and the
 # engine golden pins (both labels carry engine_test.cpp) run parallel
 # growth and parallel selection at 1, 2 and 8 workers — the engine's whole
 # concurrent surface, since its stages themselves run one after another

@@ -7,8 +7,7 @@
 //   imc_cli solve       [graph opts] [community opts] --algo ubg|maf|bt|mb
 //                       [--k K] [--max-samples N] [--model ic|lt]
 //                       [--parallel] [--threads N] [--time-budget-s S]
-//                       [--metrics-json FILE] [--no-warm-start]
-//                       [--save-pool FILE]
+//                       [--metrics-json FILE] [--save-pool FILE]
 //                       [--load-pool FILE [--trust-pool]]
 //                       [--apply-deltas FILE]
 //   imc_cli baseline    [graph opts] [community opts]
@@ -40,15 +39,15 @@ using namespace imc;
 constexpr std::string_view kKnownFlags[] = {
     "algo", "apply-deltas", "communities", "dataset", "graph", "k",
     "load-pool", "max-samples", "method", "metrics-json", "model",
-    "no-warm-start", "parallel", "parallel-sampling", "regime", "save",
-    "save-pool", "scale", "seed", "seeds", "simulations",
-    "size-cap", "threads", "threshold", "threshold-fraction",
-    "time-budget-s", "trust-pool", "undirected"};
+    "parallel", "parallel-sampling", "regime", "save", "save-pool",
+    "scale", "seed", "seeds", "simulations", "size-cap", "threads",
+    "threshold", "threshold-fraction", "time-budget-s", "trust-pool",
+    "undirected"};
 
 /// Flags only `solve` reads.
 constexpr std::string_view kSolveOnlyFlags[] = {
-    "time-budget-s", "metrics-json", "no-warm-start", "save-pool",
-    "load-pool", "trust-pool", "apply-deltas"};
+    "time-budget-s", "metrics-json", "save-pool", "load-pool",
+    "trust-pool", "apply-deltas"};
 
 /// A non-negative count flag (k, sample caps, thread and simulation
 /// counts): a negative or oversized value is a UsageError, never a
@@ -65,6 +64,16 @@ std::uint64_t get_count(const ArgParser& args, const std::string& name,
                      args.get_string(name, "") + "'");
   }
   return static_cast<std::uint64_t>(value);
+}
+
+/// A seed budget the graph cannot fill (`--k 0`, or more seeds than
+/// nodes) is a UsageError naming the value and |V|.
+void check_k_fits(std::uint32_t k, const Graph& graph) {
+  if (k == 0 || k > graph.node_count()) {
+    throw UsageError("--k expects a seed count in [1, |V|] = [1, " +
+                     std::to_string(graph.node_count()) + "], got " +
+                     std::to_string(k));
+  }
 }
 
 Graph load_graph(const ArgParser& args) {
@@ -238,7 +247,6 @@ int cmd_solve(const ArgParser& args) {
   config.model = load_model(args);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
   config.parallel_sampling = args.get_bool("parallel-sampling", true);
-  config.warm_start = !args.get_bool("no-warm-start", false);
 
   const double time_budget = args.get_double("time-budget-s", 0.0);
   if (args.has("time-budget-s") && !(time_budget > 0.0)) {
@@ -266,6 +274,7 @@ int cmd_solve(const ArgParser& args) {
 
   // Mutable: --apply-deltas streams GraphDelta batches into them.
   Graph graph = load_graph(args);
+  check_k_fits(k, graph);
   CommunitySet communities = load_communities(args, graph);
 
   RecordingMetricsSink metrics;
@@ -352,6 +361,7 @@ int cmd_solve(const ArgParser& args) {
 int cmd_baseline(const ArgParser& args) {
   const auto k = static_cast<std::uint32_t>(get_count(args, "k", 10));
   const Graph graph = load_graph(args);
+  check_k_fits(k, graph);
   const CommunitySet communities = load_communities(args, graph);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 7)));
 
@@ -422,8 +432,6 @@ void print_usage() {
       "  --time-budget-s S   wall-clock budget; returns the best seeds from\n"
       "                      the stages that completed in time\n"
       "  --metrics-json F    write per-stage engine telemetry as JSON to F\n"
-      "  --no-warm-start     cold MAXR solve every doubling stage\n"
-      "                      (results are bit-identical; for benchmarking)\n"
       "  --save-pool F       write the final pool as a binary v3 snapshot\n"
       "  --load-pool F       start from a binary v3 snapshot written by\n"
       "                      --save-pool (attached zero-copy via mmap and\n"
