@@ -289,6 +289,15 @@ BENCHMARK(BM_DeltaRepairVsRebuild)
     ->Args({1, 8})
     ->Unit(benchmark::kMillisecond);
 
+// Touches one c_hat(seeds) call visits: its work size, so rows recorded
+// before and after a change of pool content can be told apart.
+std::uint64_t seed_touches(const RicPool& pool,
+                           const std::vector<NodeId>& seeds) {
+  std::uint64_t touches = 0;
+  for (const NodeId v : seeds) touches += pool.touches_of(v).size();
+  return touches;
+}
+
 void BM_PoolCHat(benchmark::State& state) {
   const Graph& graph = facebook_graph();
   const CommunitySet& communities = facebook_communities();
@@ -303,6 +312,7 @@ void BM_PoolCHat(benchmark::State& state) {
     benchmark::DoNotOptimize(pool.c_hat(seeds));
   }
   state.counters["pool_size"] = static_cast<double>(pool.size());
+  state.counters["touches"] = static_cast<double>(seed_touches(pool, seeds));
 }
 BENCHMARK(BM_PoolCHat);
 
@@ -315,16 +325,14 @@ void BM_PoolCHatLarge(benchmark::State& state) {
     benchmark::DoNotOptimize(pool.c_hat(seeds));
   }
   state.counters["pool_size"] = static_cast<double>(pool.size());
+  state.counters["touches"] = static_cast<double>(seed_touches(pool, seeds));
 }
 BENCHMARK(BM_PoolCHatLarge);
 
 // Binary snapshot persistence on the large (~40k sample) pool. Save is one
-// sequential arena write; Load contrasts the two attach modes — Arg 1 the
-// default zero-copy mmap attach (checksum + full per-sample validation in
-// one pass over the mapping, no copy), Arg 2 the opt-in TRUSTED attach
-// (`--load-pool --trust-pool`) whose cost must stay independent of pool
-// size — the acceptance bar for warm restarts. Arg 0 stays unused so the
-// recorded /1 and /2 rows in BENCH_micro.json keep their names.
+// sequential arena write; Load reads every section into the pool's vectors
+// and runs the checksum plus the full per-sample validation. Arg 1 keeps
+// the row name BENCH_micro.json records.
 void BM_PoolSnapshotSave(benchmark::State& state) {
   const RicPool& pool = large_pool();
   const std::string path = "/tmp/imc_bench_pool_save.snap";
@@ -342,18 +350,15 @@ void BM_PoolSnapshotLoad(benchmark::State& state) {
   const RicPool& pool = large_pool();
   const std::string path = "/tmp/imc_bench_pool_load.snap";
   save_ric_pool_snapshot(path, pool);
-  const bool trusted = state.range(0) == 2;
   for (auto _ : state) {
-    RicPool loaded = attach_ric_pool_snapshot(
-        path, large_graph(), large_communities(),
-        trusted ? SnapshotTrust::kTrustPayload : SnapshotTrust::kVerifyPayload);
+    RicPool loaded =
+        attach_ric_pool_snapshot(path, large_graph(), large_communities());
     benchmark::DoNotOptimize(loaded.size());
   }
   state.counters["pool_size"] = static_cast<double>(pool.size());
-  state.counters["trusted"] = trusted ? 1 : 0;
   std::remove(path.c_str());
 }
-BENCHMARK(BM_PoolSnapshotLoad)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PoolSnapshotLoad)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_CoverageMarginal(benchmark::State& state) {
   const Graph& graph = facebook_graph();

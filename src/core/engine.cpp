@@ -33,17 +33,15 @@ ImcEngine::ImcEngine(const Graph& graph, const CommunitySet& communities,
       context_(context),
       pool_(graph, communities, config_.model) {}
 
-void ImcEngine::attach_pool(const std::string& path, SnapshotTrust trust) {
-  RicPool loaded =
-      attach_ric_pool_snapshot(path, *graph_, *communities_, trust);
+void ImcEngine::attach_pool(const std::string& path) {
+  RicPool loaded = attach_ric_pool_snapshot(path, *graph_, *communities_);
   if (loaded.model() != config_.model) {
     throw std::invalid_argument(
         "ImcEngine::attach_pool: pool file was sampled under a different "
         "diffusion model than the engine is configured for");
   }
   pool_ = std::move(loaded);
-  log(LogLevel::kDebug) << "IMCAF attach: |R|=" << pool_.size()
-                        << " (zero-copy mmap)";
+  log(LogLevel::kDebug) << "IMCAF attach: |R|=" << pool_.size();
 }
 
 RicPool::RepairStats ImcEngine::apply_delta(Graph& graph,

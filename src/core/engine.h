@@ -32,7 +32,6 @@
 #include "core/maxr_solver.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
-#include "sampling/pool_snapshot.h"
 #include "sampling/ric_pool.h"
 #include "util/context.h"
 
@@ -66,17 +65,13 @@ class ImcEngine {
       std::span<const EngineQuery> queries);
 
   /// Replaces the engine's pool with the binary v3 snapshot at `path`,
-  /// attached zero-copy via attach_ric_pool_snapshot (sampling/
+  /// loaded and fully verified by attach_ric_pool_snapshot (sampling/
   /// pool_snapshot.h). The snapshot must have been saved against the SAME
   /// graph and community structure (fingerprint-checked) and the same
-  /// diffusion model as config().model. Payloads are checksum- and
-  /// invariant-verified by default; pass SnapshotTrust::kTrustPayload for
-  /// files this host wrote to keep attach cost independent of pool size.
-  /// The first post-attach growth copies the arenas into heap slabs.
-  /// Throws std::runtime_error / std::invalid_argument on any mismatch;
-  /// the current pool is untouched on failure.
-  void attach_pool(const std::string& path,
-                   SnapshotTrust trust = SnapshotTrust::kVerifyPayload);
+  /// diffusion model as config().model. Throws std::runtime_error /
+  /// std::invalid_argument on any mismatch; the current pool is untouched
+  /// on failure.
+  void attach_pool(const std::string& path);
 
   /// Streaming update: mutates the graph/community structure through the
   /// free apply_delta(), then repairs the shared pool in place with

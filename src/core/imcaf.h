@@ -16,7 +16,6 @@
 #include "core/maxr_solver.h"
 #include "estimation/concentration.h"
 #include "graph/graph.h"
-#include "util/mmap_arena.h"
 
 namespace imc {
 
@@ -31,7 +30,7 @@ struct ImcafConfig {
   /// exactly like the paper's runtime limit.
   std::uint64_t max_samples = 0;
   bool parallel_sampling = true;
-  /// Ignored: pool arenas always live in heap slabs (DESIGN.md §13). Kept
+  /// Ignored: pool arenas are always std::vectors (DESIGN.md §13). Kept
   /// only so existing callers that still name it compile; the next
   /// benchmark change removes it.
   ArenaBackend pool_backend = ArenaBackend::kRam;

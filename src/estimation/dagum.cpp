@@ -29,6 +29,7 @@ DagumEstimate dagum_estimate_impl(const Graph& graph,
 
   RicSampler sampler(graph, communities, options.model);
   Rng rng(options.seed);
+  RicSampler::TouchArena touching;  // reused by every draw
 
   std::uint64_t influenced = 0;
   for (std::uint64_t t = 1; t <= options.max_samples; ++t) {
@@ -38,10 +39,11 @@ DagumEstimate dagum_estimate_impl(const Graph& graph,
       result.reached_deadline = true;
       break;
     }
-    const RicSample g = sampler.generate(rng);
+    touching.clear();
+    const RicSampleMeta g = sampler.generate_into(rng, touching);
     // tmp of Alg. 6: members of C_g reached by the seed set.
     std::uint64_t covered = 0;
-    for (const auto& [node, mask] : g.touching) {
+    for (const auto& [node, mask] : touching) {
       if (is_seed[node]) covered |= mask;
     }
     if (static_cast<std::uint32_t>(__builtin_popcountll(covered)) >=

@@ -123,10 +123,12 @@ DklrAaEstimate dklr_aa_estimate_benefit(const Graph& graph,
 
   RicSampler sampler(graph, communities, options.model);
   Rng rng(options.seed);
+  RicSampler::TouchArena touching;  // reused by every draw
   const auto draw = [&]() -> double {
-    const RicSample g = sampler.generate(rng);
+    touching.clear();
+    const RicSampleMeta g = sampler.generate_into(rng, touching);
     std::uint64_t covered = 0;
-    for (const auto& [node, mask] : g.touching) {
+    for (const auto& [node, mask] : touching) {
       if (is_seed[node]) covered |= mask;
     }
     return popcount64(covered) >= static_cast<int>(g.threshold) ? 1.0 : 0.0;

@@ -4,11 +4,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <istream>
 #include <limits>
-#include <memory>
 #include <ostream>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "util/mathx.h"
 
@@ -21,6 +24,10 @@ namespace {
 }
 
 constexpr std::size_t kHeaderBytes = 128;
+
+std::size_t round_up_64(std::size_t bytes) {
+  return (bytes + 63) & ~static_cast<std::size_t>(63);
+}
 
 /// Byte length of each section, padded position independent: sections are
 /// laid out back to back, each starting on a 64-byte boundary.
@@ -67,7 +74,7 @@ struct SnapshotLayout {
     std::size_t cursor = kHeaderBytes;
     for (int i = 0; i < 7; ++i) {
       layout.sections[i].bytes = raw[i];
-      layout.sections[i].padded = detail::round_up_64(raw[i]);
+      layout.sections[i].padded = round_up_64(raw[i]);
       layout.sections[i].offset = cursor;
       if (layout.sections[i].padded > kMax - cursor) {
         fail("header counts overflow the section layout");
@@ -80,21 +87,22 @@ struct SnapshotLayout {
 };
 
 /// FNV-1a over the raw (unpadded) bytes of every section, in file order.
-/// Padding is excluded so the digest only covers meaningful data.
-std::uint64_t payload_checksum(const RicPool::SnapshotView& view) {
+/// Padding is excluded so the digest only covers meaningful data. Takes
+/// the writer's RicPool::SnapshotView or the reader's RicPool::PoolArenas
+/// (same seven field names).
+template <typename Sections>
+std::uint64_t payload_checksum(const Sections& sections) {
   Fnv1a64 digest;
-  const auto add = [&digest](const auto& span) {
-    digest.add_bytes(span.data(),
-                     span.size() * sizeof(typename std::remove_reference_t<
-                                          decltype(span)>::element_type));
+  const auto add = [&digest](const auto& arena) {
+    digest.add_bytes(arena.data(), arena.size() * sizeof(*arena.data()));
   };
-  add(view.thresholds);
-  add(view.source_community);
-  add(view.community_frequency);
-  add(view.sample_offsets);
-  add(view.sample_arena);
-  add(view.touch_offsets);
-  add(view.touches);
+  add(sections.thresholds);
+  add(sections.source_community);
+  add(sections.community_frequency);
+  add(sections.sample_offsets);
+  add(sections.sample_arena);
+  add(sections.touch_offsets);
+  add(sections.touches);
   return digest.value();
 }
 
@@ -198,12 +206,14 @@ void validate_header(const PoolSnapshotHeader& header, const Graph& graph,
   }
 }
 
-/// Deep per-sample validation for untrusted snapshots (the default
-/// verifying attach; SnapshotTrust::kTrustPayload skips it). Besides
-/// ranges, it enforces the invariants RicPool's readers rely on: every
-/// member mask is non-empty and within the community population, and the
-/// touching nodes of a sample are strictly ascending (so no duplicates) —
-/// the order sample() and the CSR merge assume.
+/// Structural and per-sample validation of freshly read arenas — the one
+/// place these checks live (RicPool::restore_snapshot re-checks nothing).
+/// Besides ranges, it enforces the invariants RicPool's readers rely on:
+/// every member mask is non-empty and within the community population,
+/// the touching nodes of a sample are strictly ascending (so no
+/// duplicates) — the order sample() and the CSR merge assume — and the
+/// community frequencies cover the community set and sum to the sample
+/// count.
 ///
 /// Both offset tables get a full endpoints + monotonicity pass BEFORE any
 /// offset is used to index its arena: front == 0, back == arena size and
@@ -211,13 +221,16 @@ void validate_header(const PoolSnapshotHeader& header, const Graph& graph,
 /// per-step check cannot live inside the content loop — there it would
 /// only have validated the prefix scanned so far, and a hostile
 /// offsets[g + 1] past the arena would be dereferenced before its own
-/// monotonicity check ran.
+/// monotonicity check ran. These endpoint and monotonicity checks are
+/// what keep sample_touches()/touches_of() in bounds: both compute spans
+/// as offsets[i + 1] - offsets[i] in unsigned arithmetic.
 void validate_payload(const RicPool::PoolArenas& arenas,
                       const Graph& graph, const CommunitySet& communities) {
-  const auto thresholds = arenas.thresholds.span();
-  const auto source = arenas.source_community.span();
-  const auto offsets = arenas.sample_offsets.span();
-  const auto pairs = arenas.sample_arena.span();
+  const std::span<const std::uint32_t> thresholds = arenas.thresholds;
+  const std::span<const CommunityId> source = arenas.source_community;
+  const std::span<const std::uint64_t> offsets = arenas.sample_offsets;
+  const std::span<const std::pair<NodeId, std::uint64_t>> pairs =
+      arenas.sample_arena;
   if (thresholds.size() != source.size() ||
       offsets.size() != source.size() + 1) {
     fail("metadata arenas disagree on the sample count");
@@ -260,8 +273,8 @@ void validate_payload(const RicPool::PoolArenas& arenas,
       }
     }
   }
-  const auto touch_offsets = arenas.touch_offsets.span();
-  const auto touches = arenas.touches.span();
+  const std::span<const std::uint64_t> touch_offsets = arenas.touch_offsets;
+  const std::span<const RicPool::Touch> touches = arenas.touches;
   if (touch_offsets.size() !=
       static_cast<std::size_t>(graph.node_count()) + 1) {
     fail("csr: offsets table does not match the graph");
@@ -288,27 +301,31 @@ void validate_payload(const RicPool::PoolArenas& arenas,
       }
     }
   }
-}
-
-/// Borrowed zero-copy view of one section inside the mapped snapshot;
-/// the first mutation materializes it into an owned heap slab.
-template <typename T>
-ArenaVector<T> borrow_section(const std::shared_ptr<const MmapStorage>& map,
-                              const SectionLayout& section) {
-  const auto* base =
-      reinterpret_cast<const T*>(map->data() + section.offset);
-  return ArenaVector<T>::borrowed(base, section.bytes / sizeof(T), map);
-}
-
-/// FNV-1a over the raw (unpadded) section bytes of a mapped snapshot —
-/// the reader's twin of the writer's payload_checksum().
-std::uint64_t mapped_checksum(const MmapStorage& map,
-                              const SnapshotLayout& layout) {
-  Fnv1a64 digest;
-  for (const SectionLayout& section : layout.sections) {
-    digest.add_bytes(map.data() + section.offset, section.bytes);
+  if (arenas.community_frequency.size() != communities.size()) {
+    fail("community frequency table does not match the community set");
   }
-  return digest.value();
+  std::uint64_t frequency_sum = 0;
+  for (const std::uint32_t count : arenas.community_frequency) {
+    frequency_sum += count;
+  }
+  if (frequency_sum != thresholds.size()) {
+    fail("community frequencies do not sum to the sample count");
+  }
+}
+
+/// Reads one section straight into its arena vector, then skips the
+/// section's zero padding. The caller has already checked the stream
+/// length against the header, so a short read means the file changed
+/// underneath the load or the device failed; the diagnostic names the
+/// section.
+template <typename T>
+void read_section(std::istream& in, const SectionLayout& section,
+                  const char* name, std::vector<T>& arena) {
+  arena.resize(section.bytes / sizeof(T));
+  in.read(reinterpret_cast<char*>(arena.data()),
+          static_cast<std::streamsize>(section.bytes));
+  in.ignore(static_cast<std::streamsize>(section.padded - section.bytes));
+  if (!in) fail(std::string("short read in the ") + name + " section");
 }
 
 }  // namespace
@@ -339,9 +356,9 @@ void write_ric_pool_snapshot(std::ostream& out, const RicPool& pool) {
 }
 
 void save_ric_pool_snapshot(const std::string& path, const RicPool& pool) {
-  // Written beside `path` and renamed over it: `pool` may be attached to
-  // `path` itself, and truncating that file would pull its mapped arenas
-  // out from under the write.
+  // Written beside `path` and renamed over it: rename() replaces `path`
+  // atomically, so a crash or a failed write never leaves a truncated
+  // snapshot where a good one stood.
   const std::string temp = path + ".tmp";
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
@@ -365,44 +382,43 @@ void save_ric_pool_snapshot(const std::string& path, const RicPool& pool) {
   }
 }
 
-RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
-                                 const CommunitySet& communities,
-                                 SnapshotTrust trust) {
-  auto map = std::make_shared<const MmapStorage>(
-      MmapStorage::open_readonly(path));
-  if (map->size() < kHeaderBytes) fail("truncated header");
+RicPool read_ric_pool_snapshot(std::istream& in, std::uint64_t stream_bytes,
+                               const Graph& graph,
+                               const CommunitySet& communities) {
+  // Nothing is allocated until the header, its counts and the stream
+  // length all agree, so a hostile header cannot request a huge arena.
+  if (stream_bytes < kHeaderBytes) fail("truncated header");
   PoolSnapshotHeader header;
-  std::memcpy(&header, map->data(), sizeof(header));
+  if (!in.read(reinterpret_cast<char*>(&header), sizeof(header))) {
+    fail("truncated header");
+  }
   validate_header(header, graph, communities);
-  if (map->size() != header.payload_bytes) {
+  if (stream_bytes != header.payload_bytes) {
     fail("snapshot file size disagrees with its declared payload");
   }
 
   const SnapshotLayout layout = SnapshotLayout::from_counts(
       header.node_count, header.community_count, header.sample_count,
       header.sample_pair_count, header.csr_touch_count);
-
   RicPool::PoolArenas arenas;
-  arenas.thresholds = borrow_section<std::uint32_t>(map, layout.sections[0]);
-  arenas.source_community =
-      borrow_section<CommunityId>(map, layout.sections[1]);
-  arenas.community_frequency =
-      borrow_section<std::uint32_t>(map, layout.sections[2]);
-  arenas.sample_offsets =
-      borrow_section<std::uint64_t>(map, layout.sections[3]);
-  arenas.sample_arena = borrow_section<std::pair<NodeId, std::uint64_t>>(
-      map, layout.sections[4]);
-  arenas.touch_offsets =
-      borrow_section<std::uint64_t>(map, layout.sections[5]);
-  arenas.touches = borrow_section<RicPool::Touch>(map, layout.sections[6]);
+  read_section(in, layout.sections[0], "thresholds", arenas.thresholds);
+  read_section(in, layout.sections[1], "source_community",
+               arenas.source_community);
+  read_section(in, layout.sections[2], "community_frequency",
+               arenas.community_frequency);
+  read_section(in, layout.sections[3], "sample_offsets",
+               arenas.sample_offsets);
+  read_section(in, layout.sections[4], "sample_arena", arenas.sample_arena);
+  read_section(in, layout.sections[5], "touch_offsets", arenas.touch_offsets);
+  read_section(in, layout.sections[6], "touches", arenas.touches);
 
-  if (trust == SnapshotTrust::kVerifyPayload) {
-    if (mapped_checksum(*map, layout) != header.payload_checksum) {
-      fail("payload checksum mismatch (corrupt snapshot)");
-    }
-    validate_payload(arenas, graph, communities);
+  if (payload_checksum(arenas) != header.payload_checksum) {
+    fail("payload checksum mismatch (corrupt snapshot)");
   }
+  validate_payload(arenas, graph, communities);
 
+  // RicPool's constructor rejects structures its sampler cannot serve
+  // (e.g. a community past 64 members); report that as a load failure.
   try {
     return RicPool::restore_snapshot(
         graph, communities, static_cast<DiffusionModel>(header.model),
@@ -412,6 +428,18 @@ RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
   } catch (const std::invalid_argument& error) {
     fail(error.what());
   }
+}
+
+RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
+                                 const CommunitySet& communities) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) fail("cannot open " + path);
+  in.seekg(0, std::ios::end);
+  const std::streamoff bytes = in.tellg();
+  in.seekg(0, std::ios::beg);
+  if (!in || bytes < 0) fail("cannot read " + path);
+  return read_ric_pool_snapshot(in, static_cast<std::uint64_t>(bytes), graph,
+                                communities);
 }
 
 }  // namespace imc

@@ -5,9 +5,9 @@
 //
 // The snapshot persists the pool's flat arenas verbatim — SoA metadata,
 // sample-major twin, community counters AND the CSR inverted index — so
-// the one loader, `attach_ric_pool_snapshot`, is a single mmap: the arenas
-// are served zero-copy straight out of the page cache and a restart
-// solves without re-sampling or re-indexing.
+// the one loader, `attach_ric_pool_snapshot`, reads each section straight
+// into its arena vector and a restart solves without re-sampling or
+// re-indexing.
 //
 // Layout (all integers little-endian, host-width as noted):
 //
@@ -17,8 +17,7 @@
 //              community fingerprints, payload byte count, payload
 //              checksum, header checksum (FNV-1a over the preceding 120
 //              header bytes — forging any header field, including the
-//              epoch, without resealing is detected even on the trusted
-//              attach path).
+//              epoch, without resealing is detected).
 //   sections   seven raw arena sections, each padded to a 64-byte
 //              boundary, in this fixed order (lengths derive from the
 //              header counts — no section table needed):
@@ -31,27 +30,16 @@
 //                7. touches             {u32 sample, u32 threshold,
 //                                        u64 mask} × csr touches (16 B)
 //
-// Validation contract: the attach always checks magic, version, RNG
-// contract, counts against the supplied graph/communities, the epoch
-// watermark, the two fingerprints and the file size. By DEFAULT it also
-// verifies the payload checksum and every per-sample invariant (community
-// ids, thresholds, node ids, masks, offset monotonicity/endpoints, node
-// order within a sample, touch ordering) — snapshots are treated as
-// untrusted input unless the caller says otherwise. The attach can skip
-// the O(pool) deep checks with SnapshotTrust::kTrustPayload so
-// attach time stays flat in pool size; that is an explicit opt-in for
-// snapshots this host wrote, guarded by the fingerprints (see DESIGN.md
-// §13 for the trust model). Even a trusted attach cannot produce
-// out-of-bounds spans: RicPool::restore_snapshot independently checks
-// both offset tables for endpoints and monotonicity. Endianness is not
-// translated: a snapshot is portable between machines of the same byte
-// order only.
-//
-// Ownership: an attached pool pins the file mapping via shared keepalives
-// inside its borrowed arenas; the mapping unmaps when the last arena (or
-// the pool holding them) dies. The first grow() or repair after an attach
-// copy-on-write-materializes the arenas into heap slabs, after which the
-// file is no longer referenced.
+// Validation contract: snapshots are untrusted input, and every load runs
+// every check. Before anything is allocated, the loader checks magic,
+// version, RNG contract, counts against the supplied graph/communities
+// (overflow-checked through the section layout), the epoch watermark, the
+// two fingerprints, the header checksum and the file size. After reading
+// the sections it verifies the payload checksum and every structural and
+// per-sample invariant (community ids, thresholds, node ids, masks, both
+// offset tables' endpoints and monotonicity, node order within a sample,
+// touch ordering, community frequencies). Endianness is not translated: a
+// snapshot is portable between machines of the same byte order only.
 #pragma once
 
 #include <cstdint>
@@ -92,38 +80,30 @@ static_assert(sizeof(PoolSnapshotHeader) == 128,
               "header must fill its reserved 128 bytes exactly (the header "
               "checksum covers the 120 bytes before itself)");
 
-/// How much of a snapshot's payload the attach verifies before
-/// serving it. Header, counts, epoch and fingerprints are always checked.
-enum class SnapshotTrust {
-  /// Default: verify the payload checksum and every per-sample invariant
-  /// (one sequential O(pool) pass over the mapping; still zero-copy).
-  kVerifyPayload,
-  /// Explicit opt-in for snapshots this host wrote: skip the O(pool)
-  /// payload pass so attach cost stays independent of pool size. The
-  /// structural offset checks in RicPool::restore_snapshot still run, so
-  /// corrupt offsets fail the load rather than index out of bounds.
-  kTrustPayload,
-};
-
 /// Writes the v3 snapshot.
 void write_ric_pool_snapshot(std::ostream& out, const RicPool& pool);
 
 /// Saves to a file; throws std::runtime_error on I/O failure (the stream
 /// is flushed and close-checked before success is reported). The file is
-/// written beside `path` and renamed over it, so a pool attached to
-/// `path` can be saved back to it.
+/// written beside `path` and renamed over it, so `path` is replaced
+/// atomically: a reader sees the old snapshot or the new one, never a
+/// partial write.
 void save_ric_pool_snapshot(const std::string& path, const RicPool& pool);
 
-/// Zero-copy attach: mmaps the snapshot and serves the arenas in place —
-/// no arena copy happens until the pool is grown or repaired, which
-/// materializes the arenas into heap slabs. With the default kVerifyPayload
-/// the checksum and per-sample invariants are verified in one sequential
-/// pass over the mapping; kTrustPayload skips that pass so attach cost is
-/// O(offset tables), independent of the arena payload. Throws
-/// std::runtime_error on mismatch or (when verifying) corruption.
+/// Reads the snapshot at `path` into a pool that owns its arenas, after
+/// every check of the validation contract above. Throws
+/// std::runtime_error on any mismatch or corruption.
 [[nodiscard]] RicPool attach_ric_pool_snapshot(
     const std::string& path, const Graph& graph,
-    const CommunitySet& communities,
-    SnapshotTrust trust = SnapshotTrust::kVerifyPayload);
+    const CommunitySet& communities);
+
+/// The stream half of attach_ric_pool_snapshot: `stream_bytes` is the
+/// stream's length as the caller measured it (the file size). A stream
+/// that ends before that length fails with a diagnostic naming the
+/// section it ended in.
+[[nodiscard]] RicPool read_ric_pool_snapshot(std::istream& in,
+                                             std::uint64_t stream_bytes,
+                                             const Graph& graph,
+                                             const CommunitySet& communities);
 
 }  // namespace imc

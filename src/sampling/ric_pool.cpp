@@ -166,19 +166,10 @@ void RicPool::register_metadata(CommunityId community, std::uint32_t threshold,
   sample_offsets_.push_back(sample_offsets_.back() + touch_count);
 }
 
-void RicPool::ensure_mutable() {
-  thresholds_.ensure_owned();
-  source_community_.ensure_owned();
-  community_frequency_.ensure_owned();
-  sample_offsets_.ensure_owned();
-  sample_arena_.ensure_owned();
-}
-
 void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
                    ThreadPool* workers) {
   if (count == 0) return;
   check_capacity(count);
-  ensure_mutable();
   const std::uint64_t base = size();
 
   ThreadPool* pool = nullptr;
@@ -324,9 +315,9 @@ void RicPool::merge_fresh_into_index(std::uint64_t fresh_begin,
   // fresh touches, then chunk 1's, ... Sample ids ascend within each run
   // and across runs, so the merged CSR equals the serial append order for
   // ANY chunk count: the keystone of deterministic parallel rebuilds.
-  ArenaVector<std::uint64_t> new_offsets(n + 1, 0);
-  ArenaVector<Touch> new_arena;
-  const std::span<const std::uint64_t> old_offsets = touch_offsets_.span();
+  std::vector<std::uint64_t> new_offsets(n + 1, 0);
+  std::vector<Touch> new_arena;
+  const std::span<const std::uint64_t> old_offsets = touch_offsets_;
   const auto prefix_sum = [&] {
     std::uint64_t total = 0;
     for (std::uint64_t v = 0; v < n; ++v) {
@@ -345,9 +336,7 @@ void RicPool::merge_fresh_into_index(std::uint64_t fresh_begin,
   };
 
   // Pass 2a — relocate each node's existing run into its new position.
-  // Old touches are read through the const span so an attached pool's
-  // borrowed CSR is streamed out of the mapping, not materialized first.
-  const std::span<const Touch> old_touches = touches_.span();
+  const std::span<const Touch> old_touches = touches_;
   const auto relocate_range = [&](std::uint64_t begin, std::uint64_t end,
                                   unsigned) {
     for (std::uint64_t v = begin; v < end; ++v) {
@@ -359,7 +348,7 @@ void RicPool::merge_fresh_into_index(std::uint64_t fresh_begin,
     }
   };
   // Pass 2b — scatter fresh touches at the per-(chunk, node) cursors.
-  const std::span<const std::uint32_t> thresholds = thresholds_.span();
+  const std::span<const std::uint32_t> thresholds = thresholds_;
   const auto scatter_range = [&](std::uint64_t begin, std::uint64_t end,
                                  unsigned) {
     for (std::uint64_t p = begin; p < end; ++p) {
@@ -392,13 +381,13 @@ void RicPool::merge_fresh_into_index(std::uint64_t fresh_begin,
 
 RicPool::SnapshotView RicPool::snapshot_view() const {
   SnapshotView view;
-  view.thresholds = thresholds_.span();
-  view.source_community = source_community_.span();
-  view.community_frequency = community_frequency_.span();
-  view.sample_offsets = sample_offsets_.span();
-  view.sample_arena = sample_arena_.span();
-  view.touch_offsets = touch_offsets_.span();
-  view.touches = touches_.span();
+  view.thresholds = thresholds_;
+  view.source_community = source_community_;
+  view.community_frequency = community_frequency_;
+  view.sample_offsets = sample_offsets_;
+  view.sample_arena = sample_arena_;
+  view.touch_offsets = touch_offsets_;
+  view.touches = touches_;
   view.epoch = grow_epoch();
   view.model = model_;
   return view;
@@ -408,60 +397,6 @@ RicPool RicPool::restore_snapshot(const Graph& graph,
                                   const CommunitySet& communities,
                                   DiffusionModel model, PoolEpoch epoch,
                                   PoolArenas&& arenas) {
-  const auto fail = [](const std::string& what) {
-    throw std::invalid_argument("RicPool::restore_snapshot: " + what);
-  };
-  const std::uint64_t samples = arenas.thresholds.size();
-  if (arenas.source_community.size() != samples) {
-    fail("metadata arenas disagree on the sample count");
-  }
-  if (epoch.samples != samples) {
-    fail("epoch watermark does not match the sample count");
-  }
-  if (samples > std::numeric_limits<std::uint32_t>::max()) {
-    fail("sample count overflows 32-bit sample ids");
-  }
-  if (arenas.sample_offsets.size() != samples + 1 ||
-      arenas.sample_offsets.span()[0] != 0 ||
-      arenas.sample_offsets.back() != arenas.sample_arena.size()) {
-    fail("sample-major offsets inconsistent with the arena");
-  }
-  // Monotonicity of both offset tables is load-bearing even on the
-  // trusted attach path: sample_touches()/touches_of() compute spans as
-  // offsets[i + 1] - offsets[i] in unsigned arithmetic, so a non-monotone
-  // pair would wrap to a huge span and read out of bounds during solves.
-  // Endpoints + monotonicity bound every span by the arena size.
-  const std::span<const std::uint64_t> sample_offsets =
-      arenas.sample_offsets.span();
-  for (std::uint64_t g = 0; g + 1 < sample_offsets.size(); ++g) {
-    if (sample_offsets[g] > sample_offsets[g + 1]) {
-      fail("sample-major offsets not monotone");
-    }
-  }
-  if (arenas.community_frequency.size() != communities.size()) {
-    fail("community frequency table does not match the community set");
-  }
-  std::uint64_t frequency_sum = 0;
-  for (const std::uint32_t count : arenas.community_frequency.span()) {
-    frequency_sum += count;
-  }
-  if (frequency_sum != samples) {
-    fail("community frequencies do not sum to the sample count");
-  }
-  if (arenas.touch_offsets.size() !=
-          static_cast<std::uint64_t>(graph.node_count()) + 1 ||
-      arenas.touch_offsets.span()[0] != 0 ||
-      arenas.touch_offsets.back() != arenas.touches.size()) {
-    fail("CSR offsets inconsistent with the graph / touch arena");
-  }
-  const std::span<const std::uint64_t> csr_offsets =
-      arenas.touch_offsets.span();
-  for (std::uint64_t v = 0; v + 1 < csr_offsets.size(); ++v) {
-    if (csr_offsets[v] > csr_offsets[v + 1]) {
-      fail("CSR offsets not monotone");
-    }
-  }
-
   RicPool pool(graph, communities, model);
   pool.thresholds_ = std::move(arenas.thresholds);
   pool.source_community_ = std::move(arenas.source_community);
@@ -512,7 +447,6 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     ++repairs_;  // future samples may differ
     return stats;
   }
-  ensure_mutable();
 
   // The affected set is read off the PRE-delta index.
   // Affected = samples touching a changed in-adjacency head (their walk
@@ -526,7 +460,7 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   if (!effects.changed_communities.empty()) {
     std::vector<std::uint8_t> moved(communities_->size(), 0);
     for (const CommunityId c : effects.changed_communities) moved[c] = 1;
-    const std::span<const CommunityId> sources = source_community_.span();
+    const std::span<const CommunityId> sources = source_community_;
     for (std::uint64_t g = 0; g < stats.total; ++g) {
       if (moved[sources[g]]) affected[g] = 1;
     }
@@ -605,27 +539,29 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   // Serial splice into a fresh sample-major arena: bulk-copy each
   // unaffected run, drop in the regenerated touches at the affected ids,
   // and overwrite the repaired samples' SoA metadata in place.
-  const std::span<const std::uint64_t> old_offsets = sample_offsets_.span();
+  const std::span<const std::uint64_t> old_offsets = sample_offsets_;
   const std::span<const std::pair<NodeId, std::uint64_t>> old_arena =
-      sample_arena_.span();
+      sample_arena_;
   std::uint64_t new_pairs = old_arena.size();
   for (std::uint64_t j = 0; j < count; ++j) {
     const std::uint64_t r = repair_ids[j];
     new_pairs += repaired_meta[j]->touch_count -
                  (old_offsets[r + 1] - old_offsets[r]);
   }
-  ArenaVector<std::uint64_t> new_offsets;
+  std::vector<std::uint64_t> new_offsets;
   new_offsets.reserve(stats.total + 1);
   new_offsets.push_back(0);
-  ArenaVector<std::pair<NodeId, std::uint64_t>> new_arena;
+  RicSampler::TouchArena new_arena;
   new_arena.reserve(new_pairs);
   std::uint64_t run_begin = 0;
   for (std::uint64_t j = 0; j <= count; ++j) {
     const std::uint64_t run_end = j < count ? repair_ids[j] : stats.total;
     if (run_end > run_begin) {
-      new_arena.append(
-          old_arena.data() + old_offsets[run_begin],
-          old_arena.data() + old_offsets[run_end]);
+      new_arena.insert(new_arena.end(),
+                       old_arena.begin() +
+                           static_cast<std::ptrdiff_t>(old_offsets[run_begin]),
+                       old_arena.begin() +
+                           static_cast<std::ptrdiff_t>(old_offsets[run_end]));
       for (std::uint64_t g = run_begin; g < run_end; ++g) {
         new_offsets.push_back(new_offsets.back() +
                               (old_offsets[g + 1] - old_offsets[g]));
@@ -633,7 +569,8 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     }
     if (j == count) break;
     const RicSampleMeta& meta = *repaired_meta[j];
-    new_arena.append(repaired_data[j], repaired_data[j] + meta.touch_count);
+    new_arena.insert(new_arena.end(), repaired_data[j],
+                     repaired_data[j] + meta.touch_count);
     new_offsets.push_back(new_offsets.back() + meta.touch_count);
     thresholds_[run_end] = meta.threshold;
     source_community_[run_end] = meta.community;
@@ -644,7 +581,7 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
 
   // Counters recomputed from the repaired metadata, never drifted.
   community_frequency_.assign(communities_->size(), 0);
-  for (const CommunityId c : source_community_.span()) {
+  for (const CommunityId c : source_community_) {
     ++community_frequency_[c];
   }
 
@@ -652,7 +589,7 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   // offset table and an empty arena, merging [0, size()) is exactly the
   // fresh-build path — byte-identical for any chunk count.
   touch_offsets_.assign(graph_->node_count() + 1, 0);
-  touches_ = ArenaVector<Touch>();
+  touches_ = std::vector<Touch>();
   merge_fresh_into_index(0, pool == nullptr ? 1 : pool->size(), pool);
 
   ++repairs_;

@@ -18,11 +18,12 @@
 // batch with a two-pass parallel build (per-chunk count, exclusive
 // prefix-sum, parallel scatter), and `invalidate_and_repair()` and
 // `restore_snapshot()` likewise leave a complete index behind, so every
-// read is a plain read.
+// read is a plain read. Every arena is a plain std::vector (DESIGN.md §13).
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -33,12 +34,25 @@
 #include "graph/delta.h"
 #include "graph/graph.h"
 #include "sampling/ric_sample.h"
-#include "util/mmap_arena.h"
 #include "util/rng.h"
 
 namespace imc {
 
 class ThreadPool;
+class RicPool;
+
+/// Inert: pool arenas are always std::vectors. The one-value enum remains
+/// only because the end-to-end benchmark program still names it
+/// (ImcafConfig::pool_backend, RicPool's trailing constructor parameter);
+/// the next benchmark change removes all three.
+enum class ArenaBackend { kRam };
+
+/// Defined in sampling/pool_snapshot.cpp; declared here so RicPool can
+/// befriend it as the one caller of restore_snapshot().
+[[nodiscard]] RicPool read_ric_pool_snapshot(std::istream& in,
+                                             std::uint64_t stream_bytes,
+                                             const Graph& graph,
+                                             const CommunitySet& communities);
 
 class RicPool {
  public:
@@ -67,9 +81,9 @@ class RicPool {
     friend bool operator==(const PoolEpoch&, const PoolEpoch&) = default;
   };
 
-  /// The trailing ArenaBackend parameter is inert (owned arenas are always
-  /// heap slabs); it remains only because the end-to-end benchmark program
-  /// still passes it, and goes with the next benchmark change.
+  /// The trailing ArenaBackend parameter is inert; it remains only because
+  /// the end-to-end benchmark program still passes it, and goes with the
+  /// next benchmark change.
   RicPool(const Graph& graph, const CommunitySet& communities,
           DiffusionModel model = DiffusionModel::kIndependentCascade,
           ArenaBackend /*ignored*/ = ArenaBackend::kRam);
@@ -149,13 +163,13 @@ class RicPool {
   /// restores. Includes the CSR index so a restored pool answers
   /// touches_of() without an O(pool) rebuild.
   struct PoolArenas {
-    ArenaVector<std::uint32_t> thresholds;
-    ArenaVector<CommunityId> source_community;
-    ArenaVector<std::uint32_t> community_frequency;
-    ArenaVector<std::uint64_t> sample_offsets;
-    ArenaVector<std::pair<NodeId, std::uint64_t>> sample_arena;
-    ArenaVector<std::uint64_t> touch_offsets;
-    ArenaVector<Touch> touches;
+    std::vector<std::uint32_t> thresholds;
+    std::vector<CommunityId> source_community;
+    std::vector<std::uint32_t> community_frequency;
+    std::vector<std::uint64_t> sample_offsets;
+    std::vector<std::pair<NodeId, std::uint64_t>> sample_arena;
+    std::vector<std::uint64_t> touch_offsets;
+    std::vector<Touch> touches;
   };
 
   /// Read-only view of every arena plus the growth watermark — what the
@@ -172,29 +186,6 @@ class RicPool {
     DiffusionModel model = DiffusionModel::kIndependentCascade;
   };
   [[nodiscard]] SnapshotView snapshot_view() const;
-
-  /// Installs fully built arenas (deserialization back door for
-  /// sampling/pool_snapshot.cpp). Arenas are typically borrowed zero-copy
-  /// views into an mmapped snapshot — a borrowed pool serves reads in
-  /// place and copy-on-write-materializes on the first grow() or repair.
-  /// Validates the cheap structural invariants (sizes coherent, both
-  /// offset tables' endpoints AND monotonicity — so no span can wrap out
-  /// of bounds even for trusted input — community frequencies sum to the
-  /// sample count, epoch matches); deep per-sample content validation is
-  /// the loader's job (pool_snapshot's validate step, skipped only by the
-  /// explicit SnapshotTrust::kTrustPayload attach). Throws
-  /// std::invalid_argument on any structural mismatch.
-  [[nodiscard]] static RicPool restore_snapshot(const Graph& graph,
-                                                const CommunitySet& communities,
-                                                DiffusionModel model,
-                                                PoolEpoch epoch,
-                                                PoolArenas&& arenas);
-
-  /// True while any arena is still a zero-copy view into an attached
-  /// snapshot mapping (i.e. no mutation has materialized it yet).
-  [[nodiscard]] bool attached() const noexcept {
-    return sample_arena_.is_borrowed() || touches_.is_borrowed();
-  }
 
   /// Materializes sample g from the arenas (community/threshold from the
   /// SoA metadata, touching pairs from the sample-major arena). This is
@@ -219,12 +210,12 @@ class RicPool {
   /// counterpart of sample_touches() for the gain-kernel sweeps).
   [[nodiscard]] std::span<const std::uint64_t> sample_offsets()
       const noexcept {
-    return sample_offsets_.span();
+    return sample_offsets_;
   }
   /// The contiguous (node, mask) pair arena behind sample_touches().
   [[nodiscard]] std::span<const std::pair<NodeId, std::uint64_t>>
   sample_arena() const noexcept {
-    return sample_arena_.span();
+    return sample_arena_;
   }
 
   /// One slab of the sample id range — the unit of work of the sharded
@@ -267,23 +258,23 @@ class RicPool {
   }
   /// Per-sample thresholds, indexed by sample id.
   [[nodiscard]] std::span<const std::uint32_t> thresholds() const noexcept {
-    return thresholds_.span();
+    return thresholds_;
   }
   /// Per-sample source community ids, indexed by sample id.
   [[nodiscard]] std::span<const CommunityId> source_communities()
       const noexcept {
-    return source_community_.span();
+    return source_community_;
   }
 
   /// CSR begin offsets (node -> first touch; node_count()+1 entries). The
   /// span [touch_offsets()[v], touch_offsets()[v+1]) indexes touch_arena().
   [[nodiscard]] std::span<const std::uint64_t> touch_offsets()
       const noexcept {
-    return touch_offsets_.span();
+    return touch_offsets_;
   }
   /// The contiguous touch arena the offsets point into.
   [[nodiscard]] std::span<const Touch> touch_arena() const noexcept {
-    return touches_.span();
+    return touches_;
   }
 
   /// Number of samples whose source community is c (MAF community
@@ -295,7 +286,7 @@ class RicPool {
   /// All per-community source counts, indexed by community id.
   [[nodiscard]] std::span<const std::uint32_t> community_frequencies()
       const noexcept {
-    return community_frequency_.span();
+    return community_frequency_;
   }
 
   /// ĉ_R(S) = (b / |R|) · #influenced samples (paper eq. 3). O(Σ_{v∈S}
@@ -337,12 +328,19 @@ class RicPool {
   void register_metadata(CommunityId community, std::uint32_t threshold,
                          std::uint64_t touch_count);
 
-  /// Copy-on-write gate for attached pools: the first mutation after a
-  /// zero-copy snapshot attach materializes the borrowed sample-side
-  /// arenas into owned storage (one O(pool) copy, then never again). The
-  /// CSR arenas are replaced wholesale by the next index merge, so they
-  /// need no eager copy. No-op for pools that own their arenas.
-  void ensure_mutable();
+  /// Installs fully built arenas: the snapshot loader's back door. Its one
+  /// caller, read_ric_pool_snapshot, has already checked every structural
+  /// and per-sample invariant of `arenas` against the graph and the
+  /// communities, so nothing is re-checked here.
+  [[nodiscard]] static RicPool restore_snapshot(const Graph& graph,
+                                                const CommunitySet& communities,
+                                                DiffusionModel model,
+                                                PoolEpoch epoch,
+                                                PoolArenas&& arenas);
+  friend RicPool read_ric_pool_snapshot(std::istream& in,
+                                        std::uint64_t stream_bytes,
+                                        const Graph& graph,
+                                        const CommunitySet& communities);
 
   /// Merges samples [fresh_begin, size()) into the CSR, which must index
   /// exactly [0, fresh_begin), via the two-pass build: per-chunk counting,
@@ -367,18 +365,16 @@ class RicPool {
   // effects); see PoolEpoch.
   std::uint64_t repairs_ = 0;
 
-  // SoA hot-path metadata, one entry per sample. All arenas below live in
-  // ArenaVector slabs (util/mmap_arena.h): owned heap slabs, or zero-copy
-  // borrowed views while attached() to a snapshot.
-  ArenaVector<std::uint32_t> thresholds_;       // sample -> h_g
-  ArenaVector<CommunityId> source_community_;   // sample -> C_g
-  ArenaVector<std::uint32_t> community_frequency_;  // community -> #samples
+  // SoA hot-path metadata, one entry per sample.
+  std::vector<std::uint32_t> thresholds_;       // sample -> h_g
+  std::vector<CommunityId> source_community_;   // sample -> C_g
+  std::vector<std::uint32_t> community_frequency_;  // community -> #samples
 
   // Canonical per-sample storage: touch lists concatenated in insertion
   // order (offsets in sample_offsets_, size+1 entries). Sample-major gain
   // passes stream it; sample() materializes views from it.
-  ArenaVector<std::uint64_t> sample_offsets_;            // sample -> begin
-  ArenaVector<std::pair<NodeId, std::uint64_t>> sample_arena_;
+  std::vector<std::uint64_t> sample_offsets_;  // sample -> begin
+  RicSampler::TouchArena sample_arena_;
 
   // Cached RicSampler instances, reused across grow() parts and calls so
   // repeated growth never reconstructs O(n) scratch buffers.
@@ -386,8 +382,8 @@ class RicPool {
   std::mutex sampler_mutex_;
 
   // Flat CSR inverted index over every sample [0, size()).
-  ArenaVector<std::uint64_t> touch_offsets_;  // node -> begin
-  ArenaVector<Touch> touches_;                // contiguous arena
+  std::vector<std::uint64_t> touch_offsets_;  // node -> begin
+  std::vector<Touch> touches_;                // contiguous arena
 };
 
 }  // namespace imc

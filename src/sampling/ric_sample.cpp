@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "diffusion/lt_model.h"
-#include "util/mmap_arena.h"
 
 namespace imc {
 
@@ -69,16 +68,14 @@ RicSample RicSampler::generate_for_community(CommunityId community, Rng& rng) {
   return sample;
 }
 
-template <typename Arena>
-RicSampleMeta RicSampler::generate_into(Rng& rng, Arena& out) {
+RicSampleMeta RicSampler::generate_into(Rng& rng, TouchArena& out) {
   return generate_for_community_into(
       static_cast<CommunityId>(rho_.sample(rng)), rng, out);
 }
 
-template <typename Arena>
 RicSampleMeta RicSampler::generate_for_community_into(CommunityId community,
                                                       Rng& rng,
-                                                      Arena& out) {
+                                                      TouchArena& out) {
   const auto members = communities_->members(community);  // range-checked
   RicSampleMeta meta;
   meta.community = community;
@@ -196,17 +193,5 @@ RicSampleMeta RicSampler::generate_for_community_into(CommunityId community,
   live_next_.clear();
   return meta;
 }
-
-// The two arena types pool growth actually emits into: per-part scratch
-// vectors and the pool's own ArenaVector slabs (heap or mmap backend).
-using PoolArena = ArenaVector<std::pair<NodeId, std::uint64_t>>;
-template RicSampleMeta RicSampler::generate_into(Rng&,
-                                                 RicSampler::TouchArena&);
-template RicSampleMeta RicSampler::generate_into(Rng&, PoolArena&);
-template RicSampleMeta RicSampler::generate_for_community_into(
-    CommunityId, Rng&, RicSampler::TouchArena&);
-template RicSampleMeta RicSampler::generate_for_community_into(CommunityId,
-                                                               Rng&,
-                                                               PoolArena&);
 
 }  // namespace imc

@@ -485,10 +485,10 @@ std::string pool_content_diff(const RicPool& got, const RicPool& want) {
 }
 
 /// The persistence path — a binary v3 snapshot written to a real file and
-/// attached zero-copy via mmap — must hand back the ORIGINAL pool
-/// bit-for-bit, and solves on the attached pool must be bit-identical to
-/// solves on the original at every parallelism level. This is the
-/// round-trip certificate behind `imc_cli --save-pool/--load-pool`.
+/// loaded back — must hand back the ORIGINAL pool bit-for-bit, and solves
+/// on the loaded pool must be bit-identical to solves on the original at
+/// every parallelism level. This is the round-trip certificate behind
+/// `imc_cli --save-pool/--load-pool`.
 std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
                                                 std::uint64_t case_seed) {
   const Graph graph = spec.build_graph();
@@ -498,11 +498,9 @@ std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
   RicPool original(graph, communities, spec.model);
   original.grow(count, case_seed, /*parallel=*/false);
 
-  // The file is unlinked immediately after the attach — the mapping must
-  // pin it.
   char path[] = "/tmp/imc_fuzz_pool_XXXXXX";
   const int fd = ::mkstemp(path);
-  if (fd < 0) return "mkstemp failed for the mmap round-trip";
+  if (fd < 0) return "mkstemp failed for the snapshot round-trip";
   ::close(fd);
   std::optional<RicPool> attached;
   std::string attach_error;
@@ -513,14 +511,11 @@ std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
     attach_error = e.what();
   }
   std::remove(path);
-  if (!attached) return "mmap attach failed: " + attach_error;
-  if (!attached->attached()) {
-    return "mmap attach did not produce a zero-copy attached pool";
-  }
+  if (!attached) return "snapshot attach failed: " + attach_error;
   const std::string diff = pool_content_diff(*attached, original);
-  if (!diff.empty()) return "mmap round-trip not bit-identical: " + diff;
+  if (!diff.empty()) return "snapshot round-trip not bit-identical: " + diff;
   if (attached->grow_epoch() != original.grow_epoch()) {
-    return "mmap round-trip lost the epoch watermark";
+    return "snapshot round-trip lost the epoch watermark";
   }
 
   // Solves on the attached pool, across the thread grid {1, 2, 8}: same
@@ -541,7 +536,7 @@ std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
         maf_solve(original, k, /*seed=*/case_seed, *options);
     const UbgSolution got_ubg = ubg_solve(*attached, k, *options);
     if (got_ubg.seeds != want_ubg.seeds || got_ubg.c_hat != want_ubg.c_hat) {
-      return std::string("mmap attach: ubg_solve diverged (seeds ") +
+      return std::string("snapshot attach: ubg_solve diverged (seeds ") +
              describe_nodes(got_ubg.seeds) + " vs " +
              describe_nodes(want_ubg.seeds) + ", " +
              (options->parallel ? "parallel" : "serial") + ")";
@@ -549,7 +544,7 @@ std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
     const MafSolution got_maf =
         maf_solve(*attached, k, /*seed=*/case_seed, *options);
     if (got_maf.seeds != want_maf.seeds || got_maf.c_hat != want_maf.c_hat) {
-      return std::string("mmap attach: maf_solve diverged (seeds ") +
+      return std::string("snapshot attach: maf_solve diverged (seeds ") +
              describe_nodes(got_maf.seeds) + " vs " +
              describe_nodes(want_maf.seeds) + ", " +
              (options->parallel ? "parallel" : "serial") + ")";

@@ -20,8 +20,8 @@
 //                     min_parallel_candidates = 1 to force the parallel
 //                     reduction), vs the serial reference greedy:
 //                     seed-for-seed equality.
-//   * pool_roundtrip — save_ric_pool_snapshot + zero-copy
-//                     attach_ric_pool_snapshot vs the original pool:
+//   * pool_roundtrip — save_ric_pool_snapshot + attach_ric_pool_snapshot
+//                     vs the original pool:
 //                     bit-identical arenas, CSR index and epoch watermark,
 //                     plus UBG/MAF seed/ĉ equality at threads {1, 2, 8}.
 //   * delta_vs_rebuild — random GraphDelta streams (edge upserts/removals

@@ -24,9 +24,10 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # differential checks can't see. halt_on_error does the same for UBSan.
 # The engine label rides along: the engine's stage loop and the
 # CoverageState buffers it sweeps are heap state ASan should watch too. The
-# io label rides along because copy-on-write materialization of attached
-# snapshots and the snapshot attach itself move raw bytes with lifetimes
-# that the sanitizers — not the differential checks — are built to police,
+# io label rides along because the snapshot loader reads raw bytes straight
+# into arena vectors sized from an untrusted header — overreads and
+# oversized allocations that the sanitizers, not the differential checks,
+# are built to police,
 # and the text-parser byte-mutation corpora (SNAP edge lists, delta
 # streams, communities files) feed them hostile input.
 # The delta label rides along: in-place sample repair rewrites arena spans

@@ -21,8 +21,8 @@ cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "${jobs}" \
   --target imc_fuzz_tests --target imc_io_tests
 
-# The io label (the pool snapshot, arena storage, corrupted-file corpus
-# and text-parser mutation corpora) runs alongside the deep fuzz sweep:
+# The io label (the pool snapshot, its corrupted-file corpus and the
+# text-parser mutation corpora) runs alongside the deep fuzz sweep:
 # the pool_roundtrip check exercises the same snapshot attach on random
 # instances, and a nightly regression in either should surface from both
 # angles.

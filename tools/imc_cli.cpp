@@ -8,7 +8,7 @@
 //                       [--k K] [--max-samples N] [--model ic|lt]
 //                       [--parallel] [--threads N] [--time-budget-s S]
 //                       [--metrics-json FILE] [--save-pool FILE]
-//                       [--load-pool FILE [--trust-pool]]
+//                       [--load-pool FILE]
 //                       [--apply-deltas FILE]
 //   imc_cli baseline    [graph opts] [community opts]
 //                       --algo hbc|ks|im|imm|degree|random [--k K]
@@ -41,13 +41,12 @@ constexpr std::string_view kKnownFlags[] = {
     "load-pool", "max-samples", "method", "metrics-json", "model",
     "parallel", "parallel-sampling", "regime", "save", "save-pool",
     "scale", "seed", "seeds", "simulations", "size-cap", "threads",
-    "threshold", "threshold-fraction", "time-budget-s", "trust-pool",
-    "undirected"};
+    "threshold", "threshold-fraction", "time-budget-s", "undirected"};
 
 /// Flags only `solve` reads.
 constexpr std::string_view kSolveOnlyFlags[] = {
     "time-budget-s", "metrics-json", "save-pool", "load-pool",
-    "trust-pool", "apply-deltas"};
+    "apply-deltas"};
 
 /// A non-negative count flag (k, sample caps, thread and simulation
 /// counts): a negative or oversized value is a UsageError, never a
@@ -260,9 +259,6 @@ int cmd_solve(const ArgParser& args) {
   if (args.has("load-pool") && load_path.empty()) {
     throw UsageError("--load-pool requires a path");
   }
-  if (args.has("trust-pool") && !args.has("load-pool")) {
-    throw UsageError("--trust-pool only applies with --load-pool");
-  }
   const std::string save_path = args.get_string("save-pool", "");
   if (args.has("save-pool") && save_path.empty()) {
     throw UsageError("--save-pool requires a path");
@@ -287,9 +283,7 @@ int cmd_solve(const ArgParser& args) {
 
   ImcEngine engine(graph, communities, config, context);
   if (!load_path.empty()) {
-    engine.attach_pool(load_path, args.get_bool("trust-pool", false)
-                                      ? SnapshotTrust::kTrustPayload
-                                      : SnapshotTrust::kVerifyPayload);
+    engine.attach_pool(load_path);
     std::cout << "attached pool " << load_path << " (|R|="
               << engine.pool().size() << ")\n";
   }
@@ -434,11 +428,8 @@ void print_usage() {
       "  --metrics-json F    write per-stage engine telemetry as JSON to F\n"
       "  --save-pool F       write the final pool as a binary v3 snapshot\n"
       "  --load-pool F       start from a binary v3 snapshot written by\n"
-      "                      --save-pool (attached zero-copy via mmap and\n"
-      "                      fully verified by default)\n"
-      "  --trust-pool        skip the O(pool) checksum + payload checks on\n"
-      "                      --load-pool (for snapshots this host wrote;\n"
-      "                      attach cost becomes independent of pool size)\n"
+      "                      --save-pool (read into memory and fully\n"
+      "                      verified)\n"
       "  --apply-deltas F    after the first solve, replay streaming graph\n"
       "                      updates from F (lines 'E u v w' upsert an edge,\n"
       "                      w=0 removes; 'M v c' moves v to community c;\n"
