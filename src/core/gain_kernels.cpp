@@ -1,9 +1,7 @@
-// Runtime dispatch for the gain-kernel variants. Unlike the
-// IMC_POPCNT_CLONES target_clones mechanism (which relies on ifunc
-// resolution and is therefore disabled under sanitizers), dispatch here is
-// an explicit atomic ops-table pointer guarded by __builtin_cpu_supports —
-// it works identically in ASan/TSan builds, and tests can flip the active
-// kernel with set_gain_kernel().
+// Runtime dispatch for the gain-kernel variants: an explicit atomic
+// ops-table pointer guarded by __builtin_cpu_supports. It works the same
+// in ASan/TSan builds, and tests can flip the active kernel with
+// set_gain_kernel().
 #include "core/gain_kernels.h"
 
 #include <atomic>
@@ -24,17 +22,11 @@ bool host_supports(GainKernelKind kind) noexcept {
   switch (kind) {
     case GainKernelKind::kScalar:
       return true;
-    case GainKernelKind::kPopcnt:
-      return __builtin_cpu_supports("popcnt") != 0;
-    case GainKernelKind::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0 &&
-             __builtin_cpu_supports("popcnt") != 0;
     case GainKernelKind::kAvx512:
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0 &&
              __builtin_cpu_supports("avx512vl") != 0 &&
-             __builtin_cpu_supports("avx512vpopcntdq") != 0 &&
-             __builtin_cpu_supports("popcnt") != 0;
+             __builtin_cpu_supports("avx512vpopcntdq") != 0;
   }
   return false;
 }
@@ -49,19 +41,14 @@ const GainKernelOps* built_ops(GainKernelKind kind) noexcept {
   switch (kind) {
     case GainKernelKind::kScalar:
       return gain_detail::scalar_ops();
-    case GainKernelKind::kPopcnt:
-      return gain_detail::popcnt_ops();
-    case GainKernelKind::kAvx2:
-      return gain_detail::avx2_ops();
     case GainKernelKind::kAvx512:
       return gain_detail::avx512_ops();
   }
   return nullptr;
 }
 
-constexpr GainKernelKind kAllKinds[] = {
-    GainKernelKind::kScalar, GainKernelKind::kPopcnt,
-    GainKernelKind::kAvx2, GainKernelKind::kAvx512};
+constexpr GainKernelKind kAllKinds[] = {GainKernelKind::kScalar,
+                                        GainKernelKind::kAvx512};
 
 /// Strongest supported variant — scalar is always built and supported.
 const GainKernelOps* best_supported() noexcept {
@@ -130,10 +117,6 @@ const char* gain_kernel_name(GainKernelKind kind) noexcept {
   switch (kind) {
     case GainKernelKind::kScalar:
       return "scalar";
-    case GainKernelKind::kPopcnt:
-      return "popcnt";
-    case GainKernelKind::kAvx2:
-      return "avx2";
     case GainKernelKind::kAvx512:
       return "avx512";
   }
@@ -143,8 +126,6 @@ const char* gain_kernel_name(GainKernelKind kind) noexcept {
 std::optional<GainKernelKind> parse_gain_kernel(
     std::string_view name) noexcept {
   if (name == "scalar") return GainKernelKind::kScalar;
-  if (name == "popcnt") return GainKernelKind::kPopcnt;
-  if (name == "avx2") return GainKernelKind::kAvx2;
   if (name == "avx512") return GainKernelKind::kAvx512;
   return std::nullopt;
 }

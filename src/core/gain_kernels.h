@@ -15,17 +15,15 @@
 //     left-to-right over its (sample-sorted) touch span.
 //
 // All three are memory/popcount-bound over 64-bit member masks, so this
-// layer provides explicit SIMD variants selected once at runtime:
+// layer provides an explicit SIMD variant selected once at runtime:
 //
-//   kScalar  portable baseline — THE reference implementation every other
-//            variant is pinned against (bit-identical, enforced by
-//            tests/core/gain_kernel_test.cpp and the differential fuzzer)
-//   kPopcnt  same code compiled with the POPCNT ISA extension (hardware
-//            popcount instead of the ~12-op SWAR sequence)
-//   kAvx2    cov | mask + popcount batched 4 samples per iteration via the
-//            vpshufb nibble-LUT popcount
-//   kAvx512  8 per iteration via native vpopcntq (requires AVX-512
-//            F/BW/VL + VPOPCNTDQ)
+//   kScalar  one touch at a time with the hardware POPCNT instruction
+//            (x86-64 builds require it; see util/mathx.h) — THE reference
+//            implementation the SIMD variant is pinned against
+//            (bit-identical, enforced by tests/core/gain_kernel_test.cpp
+//            and the differential fuzzer)
+//   kAvx512  cov | mask + popcount batched 8 samples per iteration via
+//            native vpopcntq (requires AVX-512 F/BW/VL + VPOPCNTDQ)
 //
 // Shared by all variants: a word-at-a-time saturation skip — the outer
 // loop walks the saturation bitmap one 64-sample word at a time and
@@ -33,8 +31,8 @@
 // 64 samples instead of one test per sample.
 //
 // Dispatch: the best supported variant wins by default; the IMC_KERNEL
-// environment variable (scalar|popcnt|avx2|avx512) overrides it for
-// testing, and set_gain_kernel() overrides it programmatically. Variants
+// environment variable (scalar|avx512) overrides it for testing, and
+// set_gain_kernel() overrides it programmatically. Variants
 // are bit-identical by construction — integer popcounts are exact, the ν
 // deltas are the same table doubles subtracted in the same per-node
 // order — so selection results never depend on the dispatch decision.
@@ -55,9 +53,7 @@ namespace imc {
 /// dispatch picks the highest supported value.
 enum class GainKernelKind : std::uint8_t {
   kScalar = 0,
-  kPopcnt = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
+  kAvx512 = 1,
 };
 
 /// Sample-major sweep inputs: per-sample state owned by CoverageState plus
@@ -119,7 +115,7 @@ struct GainKernelOps {
 /// between selections, as the tests do.
 bool set_gain_kernel(GainKernelKind kind) noexcept;
 
-/// Display name ("scalar", "popcnt", "avx2", "avx512").
+/// Display name ("scalar", "avx512").
 [[nodiscard]] const char* gain_kernel_name(GainKernelKind kind) noexcept;
 
 /// Parses an IMC_KERNEL-style name; nullopt for anything unrecognized.

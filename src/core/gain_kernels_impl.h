@@ -1,17 +1,16 @@
 // Implementation template for ONE gain-kernel variant. This header is
 // textually included by the per-variant translation units
-// (gain_kernels_{scalar,popcnt,avx2,avx512}.cpp), each of which is
-// compiled with exactly the ISA flags its variant requires — that is what
-// lets the batched loops use intrinsics and lets the compiler lower
-// popcount64 to the hardware instruction, without making the rest of the
-// library machine-specific. The dispatcher (gain_kernels.cpp) only calls
-// into a variant after __builtin_cpu_supports confirms the host.
+// (gain_kernels_{scalar,avx512}.cpp), each of which is compiled with
+// exactly the ISA flags its variant requires — that is what lets the
+// batched loops use intrinsics without making the rest of the library
+// machine-specific. The dispatcher (gain_kernels.cpp) only calls into a
+// variant after __builtin_cpu_supports confirms the host.
 //
 // The includer must define:
 //   IMC_GK_NAMESPACE  token  — variant namespace under imc::gain_detail
-//   IMC_GK_NAME       string — display name ("scalar", "avx2", ...)
+//   IMC_GK_NAME       string — display name ("scalar", "avx512")
 //   IMC_GK_KIND       expr   — the GainKernelKind enumerator
-//   IMC_GK_VECTOR     0 | 256 | 512 — batched-inner-loop width (bits)
+//   IMC_GK_VECTOR     0 | 512 — batched-inner-loop width (bits)
 //
 // Bit-identity contract (enforced by tests/core/gain_kernel_test.cpp and
 // the kernel_variants differential fuzz check): every variant produces
@@ -34,7 +33,7 @@
 #include "core/gain_kernels.h"
 #include "util/mathx.h"
 
-#if IMC_GK_VECTOR != 0
+#if IMC_GK_VECTOR == 512
 #include <immintrin.h>
 #endif
 
@@ -80,35 +79,7 @@ template <typename Body>
   }
 }
 
-#if IMC_GK_VECTOR == 256
-
-/// 4 x 64-bit popcount via the classic vpshufb nibble LUT + psadbw.
-[[gnu::always_inline]] inline __m256i popcount_epi64_x4(__m256i v) {
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-                       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_nibble = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_nibble);
-  const __m256i hi =
-      _mm256_and_si256(_mm256_srli_epi16(v, 4), low_nibble);
-  const __m256i per_byte = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                           _mm256_shuffle_epi8(lut, hi));
-  return _mm256_sad_epu8(per_byte, _mm256_setzero_si256());
-}
-
-/// Masks of 4 consecutive arena pairs, in touch order. Two 256-bit loads
-/// hold [n0 m0 n1 m1] and [n2 m2 n3 m3]; unpackhi gives [m0 m2 m1 m3] and
-/// the permute restores [m0 m1 m2 m3].
-[[gnu::always_inline]] inline __m256i load_arena_masks_x4(
-    const ArenaPair* pairs) {
-  const __m256i a =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pairs));
-  const __m256i b =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pairs + 2));
-  return _mm256_permute4x64_epi64(_mm256_unpackhi_epi64(a, b), 0xD8);
-}
-
-#elif IMC_GK_VECTOR == 512
+#if IMC_GK_VECTOR == 512
 
 /// Masks of 8 consecutive arena pairs, in touch order: the odd 64-bit
 /// lanes of two 512-bit loads.
@@ -132,23 +103,7 @@ void accumulate_influenced(const SampleGainView& view, std::uint32_t begin,
     const std::size_t count =
         static_cast<std::size_t>(view.sample_offsets[g + 1] - first);
     std::size_t i = 0;
-#if IMC_GK_VECTOR == 256
-    const __m256i cov_v = _mm256_set1_epi64x(static_cast<long long>(cov));
-    const __m256i h_minus_1 =
-        _mm256_set1_epi64x(static_cast<long long>(h) - 1);
-    for (; i + 4 <= count; i += 4) {
-      const __m256i counts = popcount_epi64_x4(
-          _mm256_or_si256(cov_v, load_arena_masks_x4(pairs + i)));
-      // counts >= h  ⇔  counts > h - 1 (both sides fit well inside i64).
-      unsigned hits = static_cast<unsigned>(_mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpgt_epi64(counts, h_minus_1))));
-      while (hits != 0) {
-        const unsigned j = static_cast<unsigned>(__builtin_ctz(hits));
-        hits &= hits - 1;
-        ++gains[pairs[i + j].first];
-      }
-    }
-#elif IMC_GK_VECTOR == 512
+#if IMC_GK_VECTOR == 512
     const __m512i cov_v = _mm512_set1_epi64(static_cast<long long>(cov));
     const __m512i h_v = _mm512_set1_epi64(static_cast<long long>(h));
     for (; i + 8 <= count; i += 8) {
@@ -185,26 +140,11 @@ void accumulate_nu(const SampleGainView& view, std::uint32_t begin,
     const std::size_t count =
         static_cast<std::size_t>(view.sample_offsets[g + 1] - first);
     std::size_t i = 0;
-#if IMC_GK_VECTOR != 0
+#if IMC_GK_VECTOR == 512
     // after ⊇ cov, so popcount(after) == popcount(cov) ⇔ after == cov —
-    // the batched loops compare counts instead of re-deriving the union.
+    // the batched loop compares counts instead of re-deriving the union.
     const std::uint64_t base_count =
         static_cast<std::uint64_t>(popcount64(cov));
-#endif
-#if IMC_GK_VECTOR == 256
-    const __m256i cov_v = _mm256_set1_epi64x(static_cast<long long>(cov));
-    alignas(32) std::uint64_t counts[4];
-    for (; i + 4 <= count; i += 4) {
-      _mm256_store_si256(
-          reinterpret_cast<__m256i*>(counts),
-          popcount_epi64_x4(
-              _mm256_or_si256(cov_v, load_arena_masks_x4(pairs + i))));
-      for (unsigned j = 0; j < 4; ++j) {
-        if (counts[j] == base_count) continue;  // mask ⊆ covered: delta 0
-        gains[pairs[i + j].first] += row[counts[j]] - base;
-      }
-    }
-#elif IMC_GK_VECTOR == 512
     const __m512i cov_v = _mm512_set1_epi64(static_cast<long long>(cov));
     alignas(64) std::uint64_t counts[8];
     for (; i + 8 <= count; i += 8) {

@@ -12,11 +12,7 @@ namespace {
 // Hot-loop skeleton of add_seed: walk a node's contiguous CSR touch span
 // while software-prefetching the random-access `covered[sample]` word a
 // few touches ahead. The prefetch run and the tail are split so the
-// steady-state loop carries no extra bounds check. always_inline matters
-// beyond the call overhead: add_seed, its only caller, is this file's one
-// IMC_POPCNT_CLONES function, and only code inlined INTO a clone is
-// compiled with that clone's ISA extensions — an outlined copy would pin
-// the loop to the baseline software popcount.
+// steady-state loop carries no extra bounds check.
 template <typename Body>
 [[gnu::always_inline]] inline void for_each_touch(
     std::span<const RicPool::Touch> touches, const std::uint64_t* covered,
@@ -78,7 +74,6 @@ void CoverageState::reset() {
   init_nu_base();
 }
 
-IMC_POPCNT_CLONES
 void CoverageState::add_seed(NodeId v) {
   assert(v < is_seed_.size());
   if (is_seed_[v]) return;

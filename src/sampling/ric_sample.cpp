@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "diffusion/lt_model.h"
 
@@ -40,8 +41,11 @@ RicSampler::RicSampler(const Graph& graph, const CommunitySet& communities,
   for (CommunityId c = 0; c < communities.size(); ++c) {
     if (communities.population(c) > kMaxCommunityPopulation) {
       throw std::invalid_argument(
-          "RicSampler: community population exceeds 64 (mask width); "
-          "split communities first (community/size_cap.h)");
+          "RicSampler: community " + std::to_string(c) + " has " +
+          std::to_string(communities.population(c)) +
+          " members (the member mask holds at most " +
+          std::to_string(kMaxCommunityPopulation) +
+          "); split communities first (community/size_cap.h)");
     }
   }
   rho_ = DiscreteDistribution(communities.benefits());

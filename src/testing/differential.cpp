@@ -65,8 +65,7 @@ ReferencePool contract_reference_pool(const Graph& graph,
 std::vector<GainKernelKind> supported_kernels() {
   std::vector<GainKernelKind> kinds;
   for (const GainKernelKind kind :
-       {GainKernelKind::kScalar, GainKernelKind::kPopcnt,
-        GainKernelKind::kAvx2, GainKernelKind::kAvx512}) {
+       {GainKernelKind::kScalar, GainKernelKind::kAvx512}) {
     if (gain_kernel_supported(kind)) kinds.push_back(kind);
   }
   return kinds;

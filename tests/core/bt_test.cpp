@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "community/threshold_policy.h"
 #include "core/brute_force.h"
@@ -121,6 +122,32 @@ TEST(Bt, DepthThreeHandlesTripleThresholds) {
   const BtSolution solution = bt_solve(pool, 3, config);
   EXPECT_EQ(solution.seeds.size(), 3U);
   EXPECT_DOUBLE_EQ(solution.c_hat, communities.total_benefit());
+}
+
+TEST(Bt, DepthThreeGoldenPin) {
+  // Golden output of BT(3) on a fixed instance with thresholds 1..3: any
+  // change to the recursion, its tie-breaks or its popcounts shows here.
+  Rng rng(21);
+  BarabasiAlbertConfig ba;
+  ba.nodes = 60;
+  ba.attach = 3;
+  EdgeList edges = barabasi_albert_edges(ba, rng);
+  apply_uniform_weights(edges, 0.15);
+  const Graph graph(ba.nodes, edges);
+  CommunitySet communities = test::chunk_communities(60, 6);
+  for (CommunityId c = 0; c < communities.size(); ++c) {
+    communities.set_threshold(c, c % 3 + 1);
+  }
+  RicPool pool(graph, communities);
+  pool.grow(400, 9);
+
+  BtConfig config;
+  config.depth = 3;
+  const BtSolution solution = bt_solve(pool, 4, config);
+  EXPECT_EQ(solution.seeds, (std::vector<NodeId>{1, 7, 33, 49}));
+  EXPECT_EQ(solution.center, 1U);
+  EXPECT_EQ(solution.d_value, 219U);
+  EXPECT_EQ(solution.centers_tried, 3600U);
 }
 
 TEST(Bt, CenterAppearsInEverySolution) {

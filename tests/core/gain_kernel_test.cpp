@@ -47,8 +47,7 @@ class KernelGuard {
 std::vector<GainKernelKind> supported_kernels() {
   std::vector<GainKernelKind> kinds;
   for (const GainKernelKind kind :
-       {GainKernelKind::kScalar, GainKernelKind::kPopcnt,
-        GainKernelKind::kAvx2, GainKernelKind::kAvx512}) {
+       {GainKernelKind::kScalar, GainKernelKind::kAvx512}) {
     if (gain_kernel_supported(kind)) kinds.push_back(kind);
   }
   return kinds;
@@ -102,15 +101,17 @@ class GainKernelTest : public ::testing::Test {
 
 TEST_F(GainKernelTest, ParseAndNameRoundTrip) {
   for (const GainKernelKind kind :
-       {GainKernelKind::kScalar, GainKernelKind::kPopcnt,
-        GainKernelKind::kAvx2, GainKernelKind::kAvx512}) {
+       {GainKernelKind::kScalar, GainKernelKind::kAvx512}) {
     const auto parsed = parse_gain_kernel(gain_kernel_name(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(parse_gain_kernel("").has_value());
   EXPECT_FALSE(parse_gain_kernel("sse2").has_value());
-  EXPECT_FALSE(parse_gain_kernel("AVX2").has_value());  // case-sensitive
+  EXPECT_FALSE(parse_gain_kernel("AVX512").has_value());  // case-sensitive
+  // No separate popcnt or avx2 variant: scalar runs on hardware POPCNT.
+  EXPECT_FALSE(parse_gain_kernel("popcnt").has_value());
+  EXPECT_FALSE(parse_gain_kernel("avx2").has_value());
 }
 
 TEST_F(GainKernelTest, ScalarAlwaysSupportedAndSelectable) {
@@ -122,18 +123,15 @@ TEST_F(GainKernelTest, ScalarAlwaysSupportedAndSelectable) {
 }
 
 TEST_F(GainKernelTest, UnsupportedKindIsRejected) {
-  for (const GainKernelKind kind :
-       {GainKernelKind::kPopcnt, GainKernelKind::kAvx2,
-        GainKernelKind::kAvx512}) {
-    if (gain_kernel_supported(kind)) {
-      EXPECT_NO_THROW((void)gain_kernel_ops(kind));
-      continue;
-    }
-    const GainKernelKind before = active_gain_kernel();
-    EXPECT_FALSE(set_gain_kernel(kind));
-    EXPECT_EQ(active_gain_kernel(), before);  // unchanged on failure
-    EXPECT_THROW((void)gain_kernel_ops(kind), std::invalid_argument);
+  const GainKernelKind kind = GainKernelKind::kAvx512;
+  if (gain_kernel_supported(kind)) {
+    EXPECT_NO_THROW((void)gain_kernel_ops(kind));
+    return;
   }
+  const GainKernelKind before = active_gain_kernel();
+  EXPECT_FALSE(set_gain_kernel(kind));
+  EXPECT_EQ(active_gain_kernel(), before);  // unchanged on failure
+  EXPECT_THROW((void)gain_kernel_ops(kind), std::invalid_argument);
 }
 
 TEST_F(GainKernelTest, OpsTableMatchesKind) {

@@ -406,6 +406,35 @@ TEST(PoolRepair, EngineRejectsOverfullCommunityUntouched) {
   expect_same_pool(engine.pool(), rebuilt);
 }
 
+TEST(PoolRepair, EngineRepairPassesOnOversizedCommunityMessage) {
+  // A community set swapped in place behind the engine's back: the next
+  // non-empty batch reaches the repair, whose probe sampler rejects the
+  // set with a message that names the community and its size.
+  Graph graph = make_graph(9, 80);
+  CommunitySet communities = test::chunk_communities(80, 8);
+  ImcafConfig config;
+  config.max_samples = 200;
+  config.seed = kSeed;
+  config.parallel_sampling = false;
+  ImcEngine engine(graph, communities, config);
+  (void)engine.solve(2, UbgSolver());
+
+  std::vector<NodeId> small{0, 1, 2};
+  std::vector<NodeId> oversized;
+  for (NodeId v = 3; v < 80; ++v) oversized.push_back(v);
+  communities = CommunitySet(80, {small, oversized});
+  GraphDelta delta;
+  delta.upsert_edge(70, 3, 0.3);
+  try {
+    (void)engine.apply_delta(graph, communities, delta);
+    ADD_FAILURE() << "oversized community was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("community 1 has 77 members"), std::string::npos)
+        << message;
+  }
+}
+
 TEST(PoolRepair, EngineRejectsLtOverweightUntouched) {
   Graph graph = test::cycle_graph(6, 0.8);
   CommunitySet communities(6, {{0, 1, 2}, {3, 4, 5}});

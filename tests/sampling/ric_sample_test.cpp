@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/algorithms.h"
@@ -31,6 +33,23 @@ TEST(RicSampler, RejectsBadInputs) {
   const Graph big_graph = test::path_graph(65);
   CommunitySet too_big(65, {huge});
   EXPECT_THROW((void)RicSampler(big_graph, too_big), std::invalid_argument);
+}
+
+TEST(RicSampler, OversizedCommunityMessageNamesCommunityAndSize) {
+  // Community 1 holds 70 members: the message must name both numbers.
+  std::vector<NodeId> small{0, 1};
+  std::vector<NodeId> oversized;
+  for (NodeId v = 2; v < 72; ++v) oversized.push_back(v);
+  const Graph graph = test::path_graph(72);
+  CommunitySet communities(72, {small, oversized});
+  try {
+    (void)RicSampler(graph, communities);
+    ADD_FAILURE() << "oversized community was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("community 1 "), std::string::npos) << message;
+    EXPECT_NE(message.find("70 members"), std::string::npos) << message;
+  }
 }
 
 TEST(RicSampler, MembersCarryOwnBit) {
